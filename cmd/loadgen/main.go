@@ -69,7 +69,6 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/faults"
 	"repro/internal/speech"
-	"repro/internal/voice"
 	"repro/internal/web"
 )
 
@@ -283,7 +282,6 @@ func startServer(sc serverConfig) (*http.Server, net.Listener, error) {
 	}
 	cfg := core.Config{
 		Seed:                 sc.seed,
-		Clock:                voice.NewSimClock(),
 		SimRoundCost:         time.Millisecond,
 		MaxRoundsPerSentence: 500,
 		MaxTreeNodes:         50000,

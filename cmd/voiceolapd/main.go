@@ -61,7 +61,6 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/faults"
 	"repro/internal/speech"
-	"repro/internal/voice"
 	"repro/internal/web"
 )
 
@@ -145,7 +144,6 @@ func run() error {
 
 	cfg := core.Config{
 		Seed:                 *seed,
-		Clock:                voice.NewSimClock(),
 		SimRoundCost:         time.Millisecond,
 		MaxRoundsPerSentence: 2000,
 		MaxTreeNodes:         100000,

@@ -193,6 +193,12 @@ type Output struct {
 	PlanningTime time.Duration
 	// RowsRead counts table rows consumed by sampling (0 for exact scans).
 	RowsRead int64
+	// ScanTime is the part of PlanningTime spent in the exact full scan,
+	// apart from plan search (optimal only).
+	ScanTime time.Duration
+	// RowsScanned counts the table rows the exact full scan read
+	// (optimal only).
+	RowsScanned int64
 	// TreeSamples counts MCTS rounds performed.
 	TreeSamples int64
 	// SpeechesScored counts exact quality evaluations (optimal only).

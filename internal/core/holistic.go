@@ -33,7 +33,7 @@ func NewHolistic(d *olap.Dataset, q olap.Query, cfg Config) *Holistic {
 func runnerUp(tree *mcts.Tree, best *mcts.Node) *mcts.Node {
 	var second *mcts.Node
 	for _, c := range tree.Root().Children {
-		if c == best || c.Visits == 0 {
+		if c == best || c.Visits() == 0 {
 			continue
 		}
 		if second == nil || c.MeanReward() > second.MeanReward() {
@@ -217,7 +217,7 @@ func (h *Holistic) VocalizeContext(ctx context.Context) (*Output, error) {
 				RowsRead:       windowRows,
 				TreeSamples:    windowSamples,
 				BestMeanReward: best.MeanReward(),
-				BestVisits:     best.Visits,
+				BestVisits:     best.Visits(),
 				PlanningTime:   cfg.Clock.Now().Sub(windowStart),
 			}
 			if second := runnerUp(tree, best); second != nil {

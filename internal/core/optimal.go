@@ -59,10 +59,12 @@ func (o *Optimal) VocalizeContext(ctx context.Context) (*Output, error) {
 	}
 
 	// Exact query evaluation: the full scan the holistic approach avoids.
+	scanStart := cfg.Clock.Now()
 	result, err := olap.EvaluateSpace(s.space)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
+	scanTime := cfg.Clock.Now().Sub(scanStart)
 	scale := result.GrandValue()
 	if err := s.buildModel(scale); err != nil {
 		return nil, err
@@ -77,6 +79,8 @@ func (o *Optimal) VocalizeContext(ctx context.Context) (*Output, error) {
 		Speech:         best,
 		Latency:        latency,
 		PlanningTime:   latency,
+		ScanTime:       scanTime,
+		RowsScanned:    result.RowsScanned(),
 		SpeechesScored: scored,
 		Transcript:     s.speaker.Transcript(),
 	}, ctx, o.dataset), nil

@@ -101,7 +101,7 @@ func (u *Unmerged) VocalizeContext(ctx context.Context) (*Output, error) {
 	// Commit to the whole speech at once: greedy best-mean-reward descent.
 	for {
 		best := tree.BestChild()
-		if best == nil || best.Visits == 0 {
+		if best == nil || best.Visits() == 0 {
 			break
 		}
 		tree.Advance(best)

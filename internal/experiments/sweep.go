@@ -297,8 +297,8 @@ func (e *sweepEnv) oneWorkerIdentical() (bool, error) {
 	if _, err := parTree.SampleParallelBatch(ctx, rounds, 1); err != nil {
 		return false, err
 	}
-	if seqTree.Root().Visits != parTree.Root().Visits ||
-		seqTree.Root().Reward != parTree.Root().Reward ||
+	if seqTree.Root().Visits() != parTree.Root().Visits() ||
+		seqTree.Root().Reward() != parTree.Root().Reward() ||
 		seqTree.NodeCount() != parTree.NodeCount() {
 		return false, nil
 	}

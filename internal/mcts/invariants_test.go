@@ -28,14 +28,14 @@ func TestVisitAccountingInvariant(t *testing.T) {
 		var childVisits int64
 		var childReward float64
 		for _, c := range n.Children {
-			childVisits += c.Visits
-			childReward += c.Reward
+			childVisits += c.Visits()
+			childReward += c.Reward()
 		}
-		if childVisits != n.Visits {
-			t.Fatalf("node visits %d != sum of child visits %d", n.Visits, childVisits)
+		if childVisits != n.Visits() {
+			t.Fatalf("node visits %d != sum of child visits %d", n.Visits(), childVisits)
 		}
-		if diff := childReward - n.Reward; diff > 1e-9 || diff < -1e-9 {
-			t.Fatalf("node reward %v != sum of child rewards %v", n.Reward, childReward)
+		if diff := childReward - n.Reward(); diff > 1e-9 || diff < -1e-9 {
+			t.Fatalf("node reward %v != sum of child rewards %v", n.Reward(), childReward)
 		}
 		for _, c := range n.Children {
 			walk(c)
@@ -58,7 +58,7 @@ func TestRewardBoundsInvariant(t *testing.T) {
 	}
 	var walk func(n *Node)
 	walk = func(n *Node) {
-		if n.Visits > 0 {
+		if n.Visits() > 0 {
 			m := n.MeanReward()
 			if m < 0 || m > 1 {
 				t.Fatalf("mean reward %v out of [0,1]", m)

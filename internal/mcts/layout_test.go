@@ -2,35 +2,54 @@ package mcts
 
 import (
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 	"unsafe"
 )
 
 func newTestRng(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
-// TestNodeLayout pins the false-sharing contract of the Node struct: the
-// two per-round hot words (Visits, Reward) occupy the head of their own
-// 64-byte cache line, all cold fields start on the next line, and the
-// struct size is a whole number of lines so slab-allocated siblings never
-// overlap hot lines. If a toolchain change resizes a field (sync.Mutex,
-// say), this fails loudly and the pads need re-tuning.
+// TestNodeLayout pins the statistics layout: the per-round counters are
+// not Node fields but slots of the parent's block, so Node carries no
+// visit or reward field and no padding, and a block's slots sit
+// back to back, so a UCT step scans one contiguous array.
 func TestNodeLayout(t *testing.T) {
-	const line = 64
-	var n Node
-	if off := unsafe.Offsetof(n.Visits); off != 0 {
-		t.Errorf("Visits at offset %d, want 0", off)
+	typ := reflect.TypeOf(Node{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if f.Name == "_" {
+			t.Errorf("Node has a %d-byte blank field at offset %d: padding protects nothing now", f.Type.Size(), f.Offset)
+		}
+		switch strings.ToLower(f.Name) {
+		case "visits", "reward", "mean":
+			t.Errorf("Node has hot counter field %s; statistics belong in the parent's block", f.Name)
+		}
 	}
-	if off := unsafe.Offsetof(n.Reward); off != 8 {
-		t.Errorf("Reward at offset %d, want 8", off)
+	if sz := unsafe.Sizeof(Node{}); sz > 128 {
+		t.Errorf("Node size %d exceeds 128 bytes: structural fields only, no counters or padding", sz)
 	}
-	if off := unsafe.Offsetof(n.Parent); off < line {
-		t.Errorf("cold fields start at offset %d, want >= %d (hot line not isolated)", off, line)
+	e := newEnv(t)
+	tree, err := NewTree(e.gen, e.result.GrandValue(), e.exactEval(), newTestRng(42))
+	if err != nil {
+		t.Fatalf("NewTree: %v", err)
 	}
-	if sz := unsafe.Sizeof(n); sz%line != 0 {
-		t.Errorf("Node size %d is not a multiple of %d: slab siblings would share lines", sz, line)
+	root := tree.Root()
+	if root.stat != &tree.rootStat {
+		t.Error("the original root's slot should live on the Tree")
 	}
-	if sz := unsafe.Sizeof(n); sz > 4*line {
-		t.Errorf("Node size %d exceeds 4 cache lines: padding overshot", sz)
+	for i, c := range root.Children {
+		if c.stat != &root.kids.stats[i] {
+			t.Fatalf("child %d's slot is not slot %d of its parent's block", i, i)
+		}
+	}
+	stats := root.kids.stats
+	if len(stats) < 2 {
+		t.Skip("root has fewer than 2 children")
+	}
+	stride := unsafe.Sizeof(stats[0])
+	if gap := uintptr(unsafe.Pointer(&stats[1])) - uintptr(unsafe.Pointer(&stats[0])); gap != stride || stride != 24 {
+		t.Errorf("block slots are %d bytes apart with %d-byte slots, want contiguous 24-byte slots", gap, stride)
 	}
 }
 

@@ -24,7 +24,7 @@ type SeededEvalFunc func(s *speech.Speech, rng *rand.Rand) (reward float64, ok b
 const roundChunk = 16
 
 // rootDelta batches a worker's root statistics. Every descent passes
-// through the root, so per-round atomic updates of root.Visits/Reward
+// through the root, so per-round atomic updates of the root's slot
 // made its cache line a global contention point — unlike deeper nodes,
 // whose traffic spreads across the tree. Root visits are only read as the
 // logN numerator for its children's UCT scores, which tolerates
@@ -37,12 +37,18 @@ type rootDelta struct {
 
 // SampleParallelBatch performs up to rounds sampling rounds spread over
 // the given number of worker goroutines, using virtual loss: each worker
-// increments Visits along its descent path *before* evaluating, so
+// increments visits along its descent path *before* evaluating, so
 // concurrent descents see in-flight rounds as already-taken losses and
 // spread across the tree instead of piling onto one leaf. Rewards are
 // backed up atomically; rounds whose evaluation produces no reward revert
 // their visit increments, so after the batch the statistics are exactly
 // those of the reward-producing rounds.
+//
+// Workers write only visits and rewards, in the blocks' slots. Each block
+// a worker descends through is marked dirty once per batch; when every
+// worker has stopped, the batch recomputes the cached means and unvisited
+// counts of the dirty blocks and of the root's slot, so the sequential
+// kernel reads consistent blocks after any mix of batches.
 //
 // workers <= 1 delegates to the sequential SampleBatch before consuming
 // any RNG state, so a single-worker batch is byte-identical to the
@@ -68,10 +74,11 @@ func (t *Tree) SampleParallelBatch(ctx context.Context, rounds, workers int) (in
 	// Per-worker done counts land in a results slot after wg.Wait()'s
 	// happens-before edge — no shared counter on the round hot path.
 	done := make([]int64, workers)
+	dirty := make([][]*block, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(seed int64, out *int64) {
+		go func(seed int64, out *int64, touched *[]*block) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
 			eval := t.SeededEval
@@ -93,16 +100,25 @@ func (t *Tree) SampleParallelBatch(ctx context.Context, rounds, workers int) (in
 						return
 					default:
 					}
-					path, ok = t.sampleParallel(rng, eval, path, &root)
+					path, ok = t.sampleParallel(rng, eval, path, &root, touched)
 					if ok {
 						*out++
 					}
 				}
 				t.flushRoot(&root)
 			}
-		}(seeds[w], &done[w])
+		}(seeds[w], &done[w], &dirty[w])
 	}
 	wg.Wait()
+	for _, blocks := range dirty {
+		for _, b := range blocks {
+			b.refresh()
+		}
+	}
+	t.root.stat.refreshMean()
+	if p := t.root.Parent; p != nil {
+		p.kids.refresh()
+	}
 	var total int64
 	for _, d := range done {
 		total += d
@@ -128,19 +144,42 @@ func claimRounds(remaining *atomic.Int64) int {
 // flushRoot publishes a worker's batched root statistics.
 func (t *Tree) flushRoot(d *rootDelta) {
 	if d.visits != 0 {
-		atomic.AddInt64(&t.root.Visits, d.visits)
+		atomic.AddInt64(&t.root.stat.visits, d.visits)
 		d.visits = 0
 	}
 	if d.reward != 0 {
-		atomicAddFloat64(&t.root.Reward, d.reward)
+		atomicAddFloat64(&t.root.stat.reward, d.reward)
 		d.reward = 0
 	}
 }
 
+// refreshMean recomputes the cached mean from the slot's counters.
+func (s *stat) refreshMean() {
+	s.mean = 0
+	if s.visits > 0 {
+		s.mean = s.reward / float64(s.visits)
+	}
+}
+
+// refresh recomputes a block's cached means and unvisited count after a
+// parallel batch, with the same expression the sequential backup uses,
+// and clears its dirty mark. Only called once all workers have stopped.
+func (b *block) refresh() {
+	b.unvisited = 0
+	for i := range b.stats {
+		b.stats[i].refreshMean()
+		if b.stats[i].visits == 0 {
+			b.unvisited++
+		}
+	}
+	b.dirty.Store(false)
+}
+
 // sampleParallel is one parallel MCTS round. path is the worker's pooled
 // descent scratch (returned for reuse; nil allocates); root batches the
-// worker's root-statistics updates.
-func (t *Tree) sampleParallel(rng *rand.Rand, eval SeededEvalFunc, path []*Node, root *rootDelta) ([]*Node, bool) {
+// worker's root-statistics updates; touched collects the blocks this
+// worker was first to mark dirty in the batch.
+func (t *Tree) sampleParallel(rng *rand.Rand, eval SeededEvalFunc, path []*Node, root *rootDelta, touched *[]*block) ([]*Node, bool) {
 	if t.DisablePathPooling {
 		path = nil
 	}
@@ -161,8 +200,11 @@ func (t *Tree) sampleParallel(rng *rand.Rand, eval SeededEvalFunc, path []*Node,
 		if n == t.root {
 			rootExtra = root.visits
 		}
+		if b := n.kids; !b.dirty.Load() && b.dirty.CompareAndSwap(false, true) {
+			*touched = append(*touched, b)
+		}
 		n = t.maxUCTChildAtomic(n, rng, rootExtra)
-		atomic.AddInt64(&n.Visits, 1) // virtual loss
+		atomic.AddInt64(&n.stat.visits, 1) // virtual loss
 		path = append(path, n)
 	}
 	r, ok := t.evalParallel(eval, t.Speech(n), rng)
@@ -171,14 +213,14 @@ func (t *Tree) sampleParallel(rng *rand.Rand, eval SeededEvalFunc, path []*Node,
 		// trace, matching the sequential sampler's "update nothing". The
 		// root contributed no shared increment, so path[0] is skipped.
 		for _, p := range path[1:] {
-			atomic.AddInt64(&p.Visits, -1)
+			atomic.AddInt64(&p.stat.visits, -1)
 		}
 		return path, false
 	}
 	root.visits++
 	root.reward += r
 	for _, p := range path[1:] {
-		atomicAddFloat64(&p.Reward, r)
+		atomicAddFloat64(&p.stat.reward, r)
 	}
 	return path, true
 }
@@ -206,38 +248,39 @@ func (t *Tree) maxUCTChildAtomic(n *Node, rng *rand.Rand, rootExtra int64) *Node
 	if t.UniformPolicy {
 		return n.Children[rng.Intn(len(n.Children))]
 	}
-	var pick *Node
+	stats := n.kids.stats
+	pick := -1
 	unvisited := 0
-	for _, c := range n.Children {
-		if atomic.LoadInt64(&c.Visits) == 0 {
+	for i := range stats {
+		if atomic.LoadInt64(&stats[i].visits) == 0 {
 			unvisited++
 			if rng.Intn(unvisited) == 0 {
-				pick = c
+				pick = i
 			}
 		}
 	}
-	if pick != nil {
-		return pick
+	if pick >= 0 {
+		return n.Children[pick]
 	}
-	visits := atomic.LoadInt64(&n.Visits) + rootExtra
+	visits := atomic.LoadInt64(&n.stat.visits) + rootExtra
 	if visits < 1 {
 		visits = 1
 	}
 	logN := math.Log(float64(visits))
-	var best *Node
+	best := 0
 	bestScore := math.Inf(-1)
-	for _, c := range n.Children {
-		v := atomic.LoadInt64(&c.Visits)
+	for i := range stats {
+		v := atomic.LoadInt64(&stats[i].visits)
 		if v == 0 {
-			return c
+			return n.Children[i]
 		}
-		score := atomicLoadFloat64(&c.Reward)/float64(v) + math.Sqrt(2*logN/float64(v))
+		score := atomicLoadFloat64(&stats[i].reward)/float64(v) + math.Sqrt(2*logN/float64(v))
 		if score > bestScore {
 			bestScore = score
-			best = c
+			best = i
 		}
 	}
-	return best
+	return n.Children[best]
 }
 
 // atomicAddFloat64 accumulates delta into *addr with a CAS loop; Go's

@@ -35,11 +35,11 @@ func TestParallelOneWorkerGolden(t *testing.T) {
 	}
 	var walk func(a, b *Node, path string)
 	walk = func(a, b *Node, path string) {
-		if a.Visits != b.Visits {
-			t.Fatalf("%s: visits %d != %d", path, a.Visits, b.Visits)
+		if a.Visits() != b.Visits() {
+			t.Fatalf("%s: visits %d != %d", path, a.Visits(), b.Visits())
 		}
-		if math.Float64bits(a.Reward) != math.Float64bits(b.Reward) {
-			t.Fatalf("%s: reward %v not bit-identical to %v", path, a.Reward, b.Reward)
+		if math.Float64bits(a.Reward()) != math.Float64bits(b.Reward()) {
+			t.Fatalf("%s: reward %v not bit-identical to %v", path, a.Reward(), b.Reward())
 		}
 		if len(a.Children) != len(b.Children) {
 			t.Fatalf("%s: child count %d != %d", path, len(a.Children), len(b.Children))
@@ -60,7 +60,7 @@ func TestParallelOneWorkerGolden(t *testing.T) {
 // tolerance).
 func checkTreeInvariants(t *testing.T, tree *Tree, done int) {
 	t.Helper()
-	if got := tree.Root().Visits; got != int64(done) {
+	if got := tree.Root().Visits(); got != int64(done) {
 		t.Errorf("root visits = %d, want done rounds %d", got, done)
 	}
 	var walk func(n *Node)
@@ -71,20 +71,20 @@ func checkTreeInvariants(t *testing.T, tree *Tree, done int) {
 		var visits int64
 		var reward float64
 		for _, c := range n.Children {
-			visits += c.Visits
-			reward += c.Reward
-			if c.Visits < 0 {
-				t.Errorf("negative visits %d", c.Visits)
+			visits += c.Visits()
+			reward += c.Reward()
+			if c.Visits() < 0 {
+				t.Errorf("negative visits %d", c.Visits())
 			}
-			if c.Visits == 0 && c.Reward != 0 {
-				t.Errorf("unvisited child has reward %v", c.Reward)
+			if c.Visits() == 0 && c.Reward() != 0 {
+				t.Errorf("unvisited child has reward %v", c.Reward())
 			}
 		}
-		if visits != n.Visits {
-			t.Errorf("node visits %d != children sum %d", n.Visits, visits)
+		if visits != n.Visits() {
+			t.Errorf("node visits %d != children sum %d", n.Visits(), visits)
 		}
-		if math.Abs(reward-n.Reward) > 1e-6*(1+math.Abs(n.Reward)) {
-			t.Errorf("node reward %v != children sum %v", n.Reward, reward)
+		if math.Abs(reward-n.Reward()) > 1e-6*(1+math.Abs(n.Reward())) {
+			t.Errorf("node reward %v != children sum %v", n.Reward(), reward)
 		}
 		for _, c := range n.Children {
 			walk(c)
@@ -168,9 +168,9 @@ func TestParallelEvalFailureLeavesNoTrace(t *testing.T) {
 	}
 	var walk func(n *Node)
 	walk = func(n *Node) {
-		if n.Visits != 0 || n.Reward != 0 {
+		if n.Visits() != 0 || n.Reward() != 0 {
 			t.Fatalf("node retains statistics after failed rounds: visits %d reward %v",
-				n.Visits, n.Reward)
+				n.Visits(), n.Reward())
 		}
 		for _, c := range n.Children {
 			walk(c)
@@ -249,8 +249,8 @@ func TestParallelPathPoolingAblation(t *testing.T) {
 	if d1 != d2 {
 		t.Fatalf("done rounds differ: %d vs %d", d1, d2)
 	}
-	if pooled.Root().Visits != plain.Root().Visits ||
-		math.Float64bits(pooled.Root().Reward) != math.Float64bits(plain.Root().Reward) {
+	if pooled.Root().Visits() != plain.Root().Visits() ||
+		math.Float64bits(pooled.Root().Reward()) != math.Float64bits(plain.Root().Reward()) {
 		t.Error("path pooling must not change sampling behavior")
 	}
 }

@@ -9,6 +9,25 @@
 // Nodes store only the fragment they add — a baseline or one refinement —
 // and materialize their full speech on demand by walking to the root.
 // Cloning speeches per node would dominate tree-construction cost.
+//
+// Statistics live apart from the nodes. Each expanded node owns one block:
+// a flat array with one slot per child, in child order, holding the
+// child's visits, reward sum and cached mean reward, plus a count of the
+// children not yet visited. The block is the only copy of the statistics;
+// Node.Visits, Node.Reward and Node.MeanReward read a node's slot in its
+// parent's block (the original root's slot lives on the Tree). A UCT step
+// is therefore one linear scan over a parent's block instead of a pointer
+// chase through the children, and a node is no larger than its structural
+// fields.
+//
+// The block kernel is exact: it picks the same child and makes the same
+// RNG draws as the textbook two-pass scan over the nodes, which survives
+// in the tests as its oracle. The cached mean is reward/float64(visits),
+// recomputed at every backup, so it equals the quotient the scan would
+// compute; the exploration term is the same float expression; and the
+// strict > keeps first-index tie-breaking. The unvisited count replaces
+// the counting pass: the same Intn(unvisited) draw then selects the k-th
+// unvisited child in child order.
 package mcts
 
 import (
@@ -27,29 +46,43 @@ import (
 // yet (e.g. no aggregate has cached rows); such rounds update nothing.
 type EvalFunc func(s *speech.Speech) (reward float64, ok bool)
 
-// Node is a search tree node adding one fragment to its parent's speech.
-//
-// Field order is a deliberate cache layout, verified by TestNodeLayout.
-// Visits and Reward are the only words parallel workers write on every
-// round (virtual-loss increments during descent, reward CAS on backup);
-// they lead the struct followed by padding so the hot 16 bytes own their
-// cache line, and a tail pad rounds the struct to a whole number of lines.
-// Without the padding, siblings allocated from one expansion slab would
-// false-share: worker A bumping child 3's visits would evict the line
-// holding child 4's counters from worker B's cache, and the read-mostly
-// cold fields (Parent, Children — read on every descent by every worker)
-// would ride the same invalidated lines.
-type Node struct {
-	// Visits counts tree samples traversing this node.
-	Visits int64
-	// Reward accumulates sampled rewards over those visits.
-	Reward float64
-	_      [48]byte // rest of the hot cache line; see TestNodeLayout
+// stat is one node's statistics slot in its parent's block.
+type stat struct {
+	// visits counts tree samples traversing the node.
+	visits int64
+	// reward accumulates sampled rewards over those visits.
+	reward float64
+	// mean caches reward/float64(visits); 0 while unvisited.
+	mean float64
+}
 
+// block holds the statistics of one expanded node's children, one slot
+// per child in child order.
+type block struct {
+	stats []stat
+	// unvisited counts the slots with zero visits.
+	unvisited int
+	// dirty marks a block whose slots a parallel batch changed; the
+	// batch refreshes its means and unvisited count once workers stop.
+	dirty atomic.Bool
+}
+
+// Node is a search tree node adding one fragment to its parent's speech.
+// Its statistics are not fields: they sit in its parent's block (see the
+// package comment), so parallel workers bumping one child's counters
+// write only into that block and never into the nodes other workers read
+// on their descents.
+type Node struct {
 	// Parent is nil for the root.
 	Parent *Node
 	// Children are the valid one-fragment extensions.
 	Children []*Node
+	// stat is the node's slot: in its parent's block, or on the Tree for
+	// the original root.
+	stat *stat
+	// kids holds the children's statistics once the node is expanded
+	// (nil for a leaf).
+	kids *block
 	// baseline is set on first-level nodes.
 	baseline *speech.Baseline
 	// ref is set on refinement nodes.
@@ -69,20 +102,20 @@ type Node struct {
 	// so parallel workers can share it. A lost race rebuilds an identical
 	// speech — benign.
 	speechMemo atomic.Pointer[speech.Speech]
-	_          [40]byte // round the struct up to a multiple of 64 bytes
 }
 
 // IsLeaf reports whether the node has no children. Before expansion a node
 // is treated as a leaf only if it is terminal (no valid extensions).
 func (n *Node) IsLeaf() bool { return len(n.Children) == 0 }
 
+// Visits returns the number of tree samples that traversed the node.
+func (n *Node) Visits() int64 { return n.stat.visits }
+
+// Reward returns the sum of the rewards sampled through the node.
+func (n *Node) Reward() float64 { return n.stat.reward }
+
 // MeanReward returns the node's average sampled reward (0 when unvisited).
-func (n *Node) MeanReward() float64 {
-	if n.Visits == 0 {
-		return 0
-	}
-	return n.Reward / float64(n.Visits)
-}
+func (n *Node) MeanReward() float64 { return n.stat.mean }
 
 // Refinement returns the refinement fragment this node adds (nil for the
 // root and baseline nodes).
@@ -119,6 +152,9 @@ type Tree struct {
 	// for the allocs/round ablation in the planner benchmark.
 	DisablePathPooling bool
 
+	// rootStat is the original root's statistics slot; every other node's
+	// slot lives in its parent's block.
+	rootStat  stat
 	nodeCount atomic.Int64
 	// pathScratch is the pooled descent path of the sequential Sample.
 	pathScratch []*Node
@@ -148,7 +184,6 @@ func NewTreeWithCap(gen *speech.Generator, scale float64, eval EvalFunc, rng *ra
 		maxNodes = DefaultMaxNodes
 	}
 	t := &Tree{
-		root:     &Node{},
 		preamble: gen.NewPreamble(),
 		gen:      gen,
 		eval:     eval,
@@ -156,6 +191,7 @@ func NewTreeWithCap(gen *speech.Generator, scale float64, eval EvalFunc, rng *ra
 		scale:    scale,
 		MaxNodes: maxNodes,
 	}
+	t.root = &Node{stat: &t.rootStat}
 	t.nodeCount.Store(1)
 	// Prewarm the generator menu and the per-refinement text memos now:
 	// candidate refinements are shared across the whole tree, and lazy
@@ -272,15 +308,17 @@ func (t *Tree) expand(n *Node) {
 			slab = append(slab, Node{Parent: n, ref: r, depth: n.depth + 1, mainLen: ln})
 		}
 	}
-	var children []*Node
 	if len(slab) > 0 {
-		children = make([]*Node, len(slab))
+		kids := &block{stats: make([]stat, len(slab)), unvisited: len(slab)}
+		children := make([]*Node, len(slab))
 		for i := range slab {
+			slab[i].stat = &kids.stats[i]
 			children[i] = &slab[i]
 		}
 		t.nodeCount.Add(int64(len(slab)))
+		n.Children = children
+		n.kids = kids
 	}
-	n.Children = children
 	n.expanded.Store(true)
 	if t.nodeCount.Load() >= int64(t.MaxNodes) {
 		return
@@ -293,44 +331,60 @@ func (t *Tree) expand(n *Node) {
 	}
 }
 
+// memoVisits bounds the visit counts whose exploration term maxUCTChild
+// memoizes within one scan; a bitmask tracks the filled entries.
+const memoVisits = 64
+
 // maxUCTChild returns the child to descend into (ST.MAXUCTCHILD):
 // unvisited children first (random pick), otherwise the maximizer of the
-// UCT upper confidence bound.
+// UCT upper confidence bound. It is one pass over n's block: the unvisited
+// count replaces a counting pass, scores read the cached means, and the
+// exploration term is computed once per distinct small visit count (many
+// siblings share one). The package comment gives the exactness argument.
 func (t *Tree) maxUCTChild(n *Node) *Node {
 	if t.UniformPolicy {
 		return n.Children[t.rng.Intn(len(n.Children))]
 	}
-	// Unvisited children are counted and the pick re-scanned by ordinal
-	// rather than collected into a slice: one Intn draw either way (the
-	// RNG stream is pinned by golden tests), zero allocations per level.
-	unvisited := 0
-	for _, c := range n.Children {
-		if c.Visits == 0 {
-			unvisited++
-		}
-	}
-	if unvisited > 0 {
-		k := t.rng.Intn(unvisited)
-		for _, c := range n.Children {
-			if c.Visits == 0 {
+	stats := n.kids.stats
+	if u := n.kids.unvisited; u > 0 {
+		k := t.rng.Intn(u)
+		for i := range stats {
+			if stats[i].visits == 0 {
 				if k == 0 {
-					return c
+					return n.Children[i]
 				}
 				k--
 			}
 		}
 	}
-	logN := math.Log(float64(n.Visits))
-	var best *Node
+	logN := math.Log(float64(n.stat.visits))
+	var memo [memoVisits]float64
+	var have uint64
+	best := -1
 	bestScore := math.Inf(-1)
-	for _, c := range n.Children {
-		score := c.MeanReward() + math.Sqrt(2*logN/float64(c.Visits))
-		if score > bestScore {
+	for i := range stats {
+		v := stats[i].visits
+		var explore float64
+		if v < memoVisits {
+			if have&(1<<v) != 0 {
+				explore = memo[v]
+			} else {
+				explore = math.Sqrt(2 * logN / float64(v))
+				memo[v] = explore
+				have |= 1 << v
+			}
+		} else {
+			explore = math.Sqrt(2 * logN / float64(v))
+		}
+		if score := stats[i].mean + explore; score > bestScore {
 			bestScore = score
-			best = c
+			best = i
 		}
 	}
-	return best
+	if best < 0 {
+		return nil
+	}
+	return n.Children[best]
 }
 
 // Sample performs one MCTS round (Algorithm 2's SAMPLE): descend from the
@@ -366,10 +420,21 @@ func (t *Tree) Sample() bool {
 		return false
 	}
 	for _, p := range path {
-		p.Visits++
-		p.Reward += r
+		p.backup(r)
 	}
 	return true
+}
+
+// backup adds one round's reward to n's slot, refreshing the cached mean
+// and, on the first visit, the parent block's unvisited count.
+func (n *Node) backup(r float64) {
+	s := n.stat
+	s.visits++
+	s.reward += r
+	s.mean = s.reward / float64(s.visits)
+	if s.visits == 1 && n.Parent != nil {
+		n.Parent.kids.unvisited--
+	}
 }
 
 // SampleBatch performs up to n sampling rounds, checking ctx between
@@ -397,19 +462,22 @@ func (t *Tree) SampleBatch(ctx context.Context, n int) (int, error) {
 // below any visited child; among equally unvisited children the first is
 // returned.
 func (t *Tree) BestChild() *Node {
-	var best *Node
+	if t.root.kids == nil {
+		return nil
+	}
+	best := -1
 	bestScore := math.Inf(-1)
-	for _, c := range t.root.Children {
+	for i, s := range t.root.kids.stats {
 		score := math.Inf(-1)
-		if c.Visits > 0 {
-			score = c.MeanReward()
+		if s.visits > 0 {
+			score = s.mean
 		}
-		if best == nil || score > bestScore {
-			best = c
+		if best < 0 || score > bestScore {
+			best = i
 			bestScore = score
 		}
 	}
-	return best
+	return t.root.Children[best]
 }
 
 // Advance makes child the new root, retaining its subtree statistics so

@@ -137,12 +137,12 @@ func TestSampleUpdatesPathStatistics(t *testing.T) {
 	if !tree.Sample() {
 		t.Fatal("sample with always-ok evaluator should succeed")
 	}
-	if tree.Root().Visits != 1 {
-		t.Errorf("root visits = %d, want 1", tree.Root().Visits)
+	if tree.Root().Visits() != 1 {
+		t.Errorf("root visits = %d, want 1", tree.Root().Visits())
 	}
 	visited := 0
 	for _, c := range tree.Root().Children {
-		visited += int(c.Visits)
+		visited += int(c.Visits())
 	}
 	if visited != 1 {
 		t.Errorf("exactly one child should be visited, got %d", visited)
@@ -150,8 +150,8 @@ func TestSampleUpdatesPathStatistics(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		tree.Sample()
 	}
-	if tree.Root().Visits != 51 {
-		t.Errorf("root visits = %d, want 51", tree.Root().Visits)
+	if tree.Root().Visits() != 51 {
+		t.Errorf("root visits = %d, want 51", tree.Root().Visits())
 	}
 	if tree.Root().MeanReward() <= 0 {
 		t.Error("mean reward should be positive with exact evaluator")
@@ -166,7 +166,7 @@ func TestSampleSkippedWhenEvalUnavailable(t *testing.T) {
 	if tree.Sample() {
 		t.Error("sample should report failure")
 	}
-	if tree.Root().Visits != 0 {
+	if tree.Root().Visits() != 0 {
 		t.Error("failed sample must not update statistics")
 	}
 }
@@ -181,8 +181,8 @@ func TestUCTPrioritizesUnvisited(t *testing.T) {
 		tree.Sample()
 	}
 	for _, c := range tree.Root().Children {
-		if c.Visits != 1 {
-			t.Fatalf("child visits = %d after %d samples, want 1 each", c.Visits, n)
+		if c.Visits() != 1 {
+			t.Fatalf("child visits = %d after %d samples, want 1 each", c.Visits(), n)
 		}
 	}
 }
@@ -210,7 +210,7 @@ func TestUCTConvergesToBestSpeech(t *testing.T) {
 		q := e.model.Quality(tree.Speech(c), e.result)
 		// Allow near-ties: sampled mean rewards cannot separate speeches
 		// whose exact qualities differ by under two percent.
-		if q > bestQ*1.02 && c.Visits > 50 {
+		if q > bestQ*1.02 && c.Visits() > 50 {
 			t.Errorf("well-visited sibling %v (q=%v) beats chosen %v (q=%v)",
 				tree.Speech(c).Baseline.Value, q, got, bestQ)
 		}
@@ -225,7 +225,7 @@ func TestAdvanceKeepsStatistics(t *testing.T) {
 		tree.Sample()
 	}
 	best := tree.BestChild()
-	visits := best.Visits
+	visits := best.Visits()
 	if visits == 0 {
 		t.Fatal("best child should have visits")
 	}
@@ -233,13 +233,13 @@ func TestAdvanceKeepsStatistics(t *testing.T) {
 	if tree.Root() != best {
 		t.Error("root should be the advanced child")
 	}
-	if tree.Root().Visits != visits {
+	if tree.Root().Visits() != visits {
 		t.Error("advance must keep statistics")
 	}
 	// Sampling continues below the new root.
-	before := tree.Root().Visits
+	before := tree.Root().Visits()
 	tree.Sample()
-	if tree.Root().Visits != before+1 {
+	if tree.Root().Visits() != before+1 {
 		t.Error("sampling below the new root should work")
 	}
 }
@@ -299,7 +299,7 @@ func TestLazyExpansionUnderNodeCap(t *testing.T) {
 	if capped.NodeCount() <= before {
 		t.Error("lazy expansion should allocate nodes during sampling")
 	}
-	if capped.Root().Visits != 200 {
-		t.Errorf("root visits = %d, want 200", capped.Root().Visits)
+	if capped.Root().Visits() != 200 {
+		t.Errorf("root visits = %d, want 200", capped.Root().Visits())
 	}
 }

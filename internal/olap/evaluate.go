@@ -16,6 +16,8 @@ type Result struct {
 	space  *Space
 	counts []int64
 	sums   []float64
+	// rows is the number of table rows the scan read.
+	rows int64
 }
 
 // Evaluate computes the exact query result with a full scan of the base
@@ -43,12 +45,13 @@ func EvaluateSpaceSequential(space *Space) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	n := space.Dataset().Table().NumRows()
 	r := &Result{
 		space:  space,
 		counts: make([]int64, space.Size()),
 		sums:   make([]float64, space.Size()),
+		rows:   int64(n),
 	}
-	n := space.Dataset().Table().NumRows()
 	for row := 0; row < n; row++ {
 		idx, ok := space.ClassifyRow(row)
 		if !ok {
@@ -176,6 +179,7 @@ func EvaluateSpaceWorkers(space *Space, workers int) (*Result, error) {
 		space:  space,
 		counts: make([]int64, size),
 		sums:   make([]float64, size),
+		rows:   int64(n),
 	}
 	for c := 0; c < chunks; c++ {
 		counts := countSlab[c*stride : c*stride+size]
@@ -201,6 +205,9 @@ func evalMeasure(space *Space) (*table.Float64Column, error) {
 	}
 	return space.Dataset().Measure(q.Col)
 }
+
+// RowsScanned returns the number of table rows the evaluation read.
+func (r *Result) RowsScanned() int64 { return r.rows }
 
 // Space returns the aggregate space of the result.
 func (r *Result) Space() *Space { return r.space }

@@ -280,8 +280,10 @@ type Server struct {
 }
 
 // NewServer registers the datasets and returns a server with default
-// Options. cfg configures the holistic vocalizer (a simulated clock makes
-// responses immediate — the browser performs actual playback).
+// Options. cfg configures the holistic vocalizer. cfg.Clock is ignored:
+// every vocalization runs on its own simulated clock, which makes
+// responses immediate (the browser performs actual playback) and keeps
+// concurrent answers from shortening each other's planning.
 func NewServer(cfg core.Config, infos ...DatasetInfo) (*Server, error) {
 	return NewServerWith(cfg, Options{}, infos...)
 }
@@ -785,9 +787,11 @@ func (s *Server) vocalize(ctx context.Context, info DatasetInfo, q olap.Query, m
 	}
 	cfg := s.cfg
 	cfg.Format = info.Format
-	if cfg.Clock == nil {
-		cfg.Clock = voice.NewSimClock()
-	}
+	// Every vocalization plans on its own simulated clock. A clock shared
+	// across requests lets concurrent answers advance each other's
+	// playback and cut planning short, so one question would get a
+	// different speech under load than alone.
+	cfg.Clock = voice.NewSimClock()
 	if cfg.MaxRoundsPerSentence == 0 {
 		cfg.MaxRoundsPerSentence = 500
 	}
