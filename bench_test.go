@@ -10,8 +10,6 @@
 package repro_bench
 
 import (
-	"context"
-	"fmt"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -570,7 +568,7 @@ func BenchmarkEvaluateSequential(b *testing.B) {
 	}
 }
 
-// --- Parallel planner and vectorized reward kernel ---
+// --- Incremental quality kernel and end to end ---
 
 // BenchmarkScorerQuality measures one DFS edge of the incremental quality
 // kernel (Push + Quality + Pop): what core.Optimal pays per candidate
@@ -588,73 +586,6 @@ func BenchmarkScorerQuality(b *testing.B) {
 		sc.Push(r)
 		sc.Quality()
 		sc.Pop()
-	}
-}
-
-// benchTree builds a search tree over the micro environment with both the
-// sequential and the per-worker-seeded evaluator wired, optionally with
-// path pooling disabled.
-func benchTree(b *testing.B, seed int64, pooling bool) *mcts.Tree {
-	b.Helper()
-	e := microSetup(b)
-	rng := rand.New(rand.NewSource(seed))
-	evalRng := rand.New(rand.NewSource(seed + 1))
-	seeded := func(sp *speech.Speech, rng *rand.Rand) (float64, bool) {
-		a, ok := e.cache.PickAggregate(rng)
-		if !ok {
-			return 0, false
-		}
-		est, ok := e.cache.Estimate(a, rng)
-		if !ok {
-			return 0, false
-		}
-		return e.model.Reward(sp, a, est), true
-	}
-	eval := func(sp *speech.Speech) (float64, bool) { return seeded(sp, evalRng) }
-	tree, err := mcts.NewTree(e.gen, e.result.GrandValue(), eval, rng)
-	if err != nil {
-		b.Fatal(err)
-	}
-	tree.SeededEval = seeded
-	tree.DisablePathPooling = !pooling
-	return tree
-}
-
-// BenchmarkSampleParallel measures UCT sampling rounds/s at 1, 2, and 4
-// virtual-loss workers (1 worker delegates to the sequential sampler).
-// Speedup above 1 worker requires multiple cores; see BENCH_planner.json
-// for the recorded num_cpu.
-func BenchmarkSampleParallel(b *testing.B) {
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			tree := benchTree(b, 11, true)
-			ctx := context.Background()
-			b.ReportAllocs()
-			b.ResetTimer()
-			if _, err := tree.SampleParallelBatch(ctx, b.N, workers); err != nil {
-				b.Fatal(err)
-			}
-		})
-	}
-}
-
-// BenchmarkSamplePooling isolates the sequential sampler's per-round
-// allocations with the pooled descent path versus the pooling disabled —
-// the allocs/op delta is what the pooling saves every round.
-func BenchmarkSamplePooling(b *testing.B) {
-	for _, mode := range []struct {
-		name    string
-		pooling bool
-	}{{"pooled", true}, {"unpooled", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			tree := benchTree(b, 12, mode.pooling)
-			ctx := context.Background()
-			b.ReportAllocs()
-			b.ResetTimer()
-			if _, err := tree.SampleBatch(ctx, b.N); err != nil {
-				b.Fatal(err)
-			}
-		})
 	}
 }
 

@@ -3,11 +3,10 @@
 //
 // Usage:
 //
-//	benchrunner [-exp all|fig3|table2|table5|table6|table7|table8|table11|table12|table13|ablations|datascaling|scaling|pipeline|planner]
+//	benchrunner [-exp all|fig3|table2|table5|table6|table7|table8|table11|table12|table13|ablations|datascaling|pipeline|planner]
 //	            [-flight-rows N] [-sessions N] [-seed S]
 //	            [-workers N] [-gen-workers N] [-bench-out FILE]  (pipeline)
-//	            [-workers N] [-planner-rounds N] [-bench-out FILE]  (planner)
-//	            [-planner-rounds N] [-bench-out FILE]  (scaling)
+//	            [-planner-rounds N] [-bench-out FILE]  (planner)
 //
 // Pass -flight-rows 5300000 for paper-scale runs (slower; the default
 // 200000 preserves the published shapes at a fraction of the time).
@@ -31,11 +30,11 @@ func main() {
 }
 
 func run() error {
-	exp := flag.String("exp", "all", "experiment id (all, fig3, table2, table5, table6, table7, table8, table11, table12, table13, ablations, datascaling, scaling, pipeline, planner)")
+	exp := flag.String("exp", "all", "experiment id (all, fig3, table2, table5, table6, table7, table8, table11, table12, table13, ablations, datascaling, pipeline, planner)")
 	flightRows := flag.Int("flight-rows", experiments.DefaultBenchFlightRows, "flight dataset rows (paper: 5300000)")
 	sessions := flag.Int("sessions", 20, "exploratory study sessions per dataset")
 	seed := flag.Int64("seed", 1, "random seed")
-	workers := flag.Int("workers", 0, "pipeline: eval workers (0 = GOMAXPROCS); planner: max sampling workers (0 = 4)")
+	workers := flag.Int("workers", 0, "pipeline: eval workers (0 = GOMAXPROCS)")
 	genWorkers := flag.Int("gen-workers", 0, "pipeline: datagen workers (<= 1 sequential)")
 	plannerRounds := flag.Int("planner-rounds", 0, "planner: tree-sampling rounds per measurement (0 = 20000)")
 	benchOut := flag.String("bench-out", "", "pipeline/planner: machine-readable output file (default BENCH_<exp>.json, \"-\" to skip)")
@@ -79,24 +78,11 @@ func run() error {
 		return writeBench("BENCH_pipeline.json", res.WriteJSON)
 	}
 
-	// The multicore scaling sweep owns its dataset and changes GOMAXPROCS
-	// per column, so it runs alone, before the shared setup.
-	if *exp == "scaling" {
-		res, err := experiments.ScalingSweep(experiments.ScalingConfig{
-			Rows: *flightRows, Seed: *seed, Rounds: *plannerRounds,
-		})
-		if err != nil {
-			return err
-		}
-		experiments.PrintScalingSweep(os.Stdout, res)
-		return writeBench("BENCH_scaling.json", res.WriteJSON)
-	}
-
 	// The planner experiment likewise owns its dataset and skips the
 	// shared setup.
 	if *exp == "planner" {
 		res, err := experiments.Planner(experiments.PlannerConfig{
-			Rows: *flightRows, Seed: *seed, Rounds: *plannerRounds, MaxWorkers: *workers,
+			Rows: *flightRows, Seed: *seed, Rounds: *plannerRounds,
 		})
 		if err != nil {
 			return err
@@ -234,7 +220,7 @@ func run() error {
 		fmt.Fprintln(w)
 	}
 	if !ran {
-		return fmt.Errorf("unknown experiment %q; valid: all fig3 table2 table5 table6 table7 table8 table11 table12 table13 ablations datascaling scaling pipeline planner",
+		return fmt.Errorf("unknown experiment %q; valid: all fig3 table2 table5 table6 table7 table8 table11 table12 table13 ablations datascaling pipeline planner",
 			strings.TrimSpace(*exp))
 	}
 	return nil

@@ -23,8 +23,7 @@ import (
 // compares qualities with a strict ">" (core.Optimal) therefore selects
 // exactly the same speech either way; see DESIGN.md.
 //
-// A Scorer is single-goroutine state; parallel searches use one scorer
-// each.
+// A Scorer is single-goroutine state.
 type Scorer struct {
 	m *Model
 	n int

@@ -83,30 +83,3 @@ func TestBackgroundSamplingWithBounds(t *testing.T) {
 		t.Error("bounds mode should speak intervals from the async cache")
 	}
 }
-
-func TestBackgroundSamplingSharded(t *testing.T) {
-	d, q := flightsQuery(t, 50000, 105)
-	cfg := backgroundConfig(5)
-	cfg.SamplerShards = 4
-	cfg.Uncertainty = UncertaintyBounds
-	out, err := NewHolistic(d, q, cfg).Vocalize()
-	if err != nil {
-		t.Fatalf("sharded holistic: %v", err)
-	}
-	if out.Speech.Baseline == nil {
-		t.Fatal("no baseline")
-	}
-	if out.RowsRead == 0 {
-		t.Error("sharded scan should have read rows")
-	}
-	if len(out.BoundsSpoken) == 0 {
-		t.Error("bounds mode should speak intervals from the sharded caches")
-	}
-	quality, err := ExactQuality(d, q, out, cfg)
-	if err != nil {
-		t.Fatalf("ExactQuality: %v", err)
-	}
-	if quality <= 0 {
-		t.Errorf("quality = %v", quality)
-	}
-}

@@ -58,11 +58,10 @@ type Config struct {
 	RowsPerRound int
 	// SamplesPerRound is the number of tree samples per planning round.
 	SamplesPerRound int
-	// PlannerWorkers is the number of goroutines sampling the speech tree
-	// per planning round. 1 (the default) keeps the sequential sampler and
-	// reproduces its behavior exactly; higher values use virtual-loss
-	// parallel UCT (mcts.SampleParallelBatch) to raise sampling throughput
-	// during sentence playback on multicore machines.
+	// PlannerWorkers is ignored: every answer plans on one goroutine, and
+	// concurrency lives across answers (the server's admission limit).
+	//
+	// Deprecated: ignored; kept so existing callers still compile.
 	PlannerWorkers int
 	// MinRounds is the minimum number of planning rounds before a sentence
 	// is committed, guarding quality when playback outpaces planning.
@@ -104,13 +103,6 @@ type Config struct {
 	// data access truly overlaps planning and playback on a real clock
 	// (simulated clocks keep the deterministic synchronous loop).
 	BackgroundSampling bool
-
-	// SamplerShards > 1 splits the background scan across that many
-	// goroutines over disjoint row partitions (multicore row pipeline).
-	// It only applies with BackgroundSampling set and no Scanner override:
-	// fault-injected scanners wrap a single stream and keep the single
-	// background sampler. Zero or one keeps one scan goroutine.
-	SamplerShards int
 
 	// Scanner overrides how table rows are streamed into the samplers;
 	// nil selects the pseudo-random full-table scan. Fault-injection
@@ -155,9 +147,6 @@ func (c Config) Normalize() Config {
 	}
 	if c.SamplesPerRound <= 0 {
 		c.SamplesPerRound = 4
-	}
-	if c.PlannerWorkers < 1 {
-		c.PlannerWorkers = 1
 	}
 	if c.MinRounds <= 0 {
 		c.MinRounds = 64

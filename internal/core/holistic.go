@@ -99,19 +99,7 @@ func (h *Holistic) VocalizeContext(ctx context.Context) (*Output, error) {
 	grand := s.sampler.Cache().GrandEstimate
 	totalRead := func(fallback int64) int64 { return fallback }
 	if cfg.BackgroundSampling {
-		// Sharded scanning only applies to the default pseudo-random scan:
-		// a Scanner override supplies a single stream (fault wrappers), so
-		// it keeps the single background goroutine. Multi-shard scans use
-		// the epoch sampler: per-worker epoch-local accumulators merged at
-		// batch boundaries, with wait-free estimator reads — the planner's
-		// workers never serialize behind the scan.
-		var async sampling.BackgroundSource
-		var err error
-		if cfg.SamplerShards > 1 && cfg.Scanner == nil {
-			async, err = sampling.NewEpochSampler(s.space, s.rng, cfg.SamplerShards, cfg.RowsPerRound*4)
-		} else {
-			async, err = sampling.NewAsyncSamplerWithScanner(s.space, newScanner(cfg, s.space, s.rng), cfg.RowsPerRound*4)
-		}
+		async, err := sampling.NewAsyncSamplerWithScanner(s.space, newScanner(cfg, s.space, s.rng), cfg.RowsPerRound*4)
 		if err != nil {
 			return nil, fmt.Errorf("core: %w", err)
 		}
@@ -160,8 +148,6 @@ func (h *Holistic) VocalizeContext(ctx context.Context) (*Output, error) {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	tree.UniformPolicy = cfg.UniformTreePolicy
-	tree.SeededEval = s.seededEvalFunc(est)
-	tree.SeededEvalFactory = s.seededEvalFactory(est)
 	// Tree construction overlaps preamble playback: on a simulated
 	// substrate its cost consumes playback time, never answer latency.
 	s.simCharge(tree.NodeCount())
@@ -190,7 +176,7 @@ func (h *Holistic) VocalizeContext(ctx context.Context) (*Output, error) {
 			n := readBatch(cfg.RowsPerRound)
 			rowsRead += n
 			windowRows += n
-			done, sampleErr := tree.SampleParallelBatch(ctx, cfg.SamplesPerRound, cfg.PlannerWorkers)
+			done, sampleErr := tree.SampleBatch(ctx, cfg.SamplesPerRound)
 			treeSamples += int64(done)
 			windowSamples += int64(done)
 			if sampleErr != nil {

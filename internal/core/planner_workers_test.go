@@ -8,35 +8,43 @@ import (
 	"repro/internal/speech"
 )
 
-// TestPlannerWorkersOneIsSequential pins the knob's backward
-// compatibility: leaving PlannerWorkers unset and setting it to 1
-// explicitly must produce identical runs (same speech, same rows read,
-// same tree samples) — the single-worker path delegates to the
-// sequential sampler before consuming any RNG state.
+// TestPlannerWorkersOneIsSequential pins the deprecated knob as ignored:
+// every answer plans on one goroutine, so leaving PlannerWorkers unset,
+// setting it to 1 and setting it to 4 must produce identical runs (same
+// speech, same rows read, same tree samples) for both tree planners.
 func TestPlannerWorkersOneIsSequential(t *testing.T) {
 	d, q := flightsQuery(t, 20000, 98)
-	run := func(workers int) *Output {
+	run := func(workers int, unmerged bool) *Output {
 		cfg := testConfig(7)
 		cfg.PlannerWorkers = workers
-		out, err := NewHolistic(d, q, cfg).Vocalize()
+		var v Vocalizer = NewHolistic(d, q, cfg)
+		if unmerged {
+			v = NewUnmerged(d, q, cfg)
+		}
+		out, err := v.Vocalize()
 		if err != nil {
 			t.Fatalf("workers %d: %v", workers, err)
 		}
 		return out
 	}
-	def := run(0) // Normalize maps to 1
-	one := run(1)
-	if def.Text() != one.Text() {
-		t.Errorf("speech differs:\n  default: %q\n  workers=1: %q", def.Text(), one.Text())
-	}
-	if def.RowsRead != one.RowsRead || def.TreeSamples != one.TreeSamples {
-		t.Errorf("run statistics differ: rows %d/%d samples %d/%d",
-			def.RowsRead, one.RowsRead, def.TreeSamples, one.TreeSamples)
+	for _, unmerged := range []bool{false, true} {
+		def := run(0, unmerged)
+		for _, workers := range []int{1, 4} {
+			got := run(workers, unmerged)
+			if def.Text() != got.Text() {
+				t.Errorf("unmerged=%v: speech differs:\n  default: %q\n  workers=%d: %q", unmerged, def.Text(), workers, got.Text())
+			}
+			if def.RowsRead != got.RowsRead || def.TreeSamples != got.TreeSamples {
+				t.Errorf("unmerged=%v workers=%d: run statistics differ: rows %d/%d samples %d/%d",
+					unmerged, workers, def.RowsRead, got.RowsRead, def.TreeSamples, got.TreeSamples)
+			}
+		}
 	}
 }
 
 // TestPlannerWorkersParallelProducesValidSpeech runs holistic and
-// unmerged with 4 planner workers end to end.
+// unmerged end to end with PlannerWorkers set to 4: the ignored knob
+// must still yield a valid, tree-sampled speech from both planners.
 func TestPlannerWorkersParallelProducesValidSpeech(t *testing.T) {
 	d, q := flightsQuery(t, 20000, 99)
 	cfg := testConfig(8)
@@ -48,10 +56,10 @@ func TestPlannerWorkersParallelProducesValidSpeech(t *testing.T) {
 		t.Fatalf("holistic: %v", err)
 	}
 	if hout.Speech.Baseline == nil || !hout.Speech.Valid(speech.DefaultPrefs()) {
-		t.Errorf("holistic parallel speech invalid: %q", hout.Speech.MainText())
+		t.Errorf("holistic speech invalid: %q", hout.Speech.MainText())
 	}
 	if hout.TreeSamples == 0 {
-		t.Error("holistic parallel run should sample the tree")
+		t.Error("holistic run should sample the tree")
 	}
 
 	uout, err := NewUnmerged(d, q, cfg).Vocalize()
@@ -59,7 +67,7 @@ func TestPlannerWorkersParallelProducesValidSpeech(t *testing.T) {
 		t.Fatalf("unmerged: %v", err)
 	}
 	if uout.Speech.Baseline == nil || !uout.Speech.Valid(speech.DefaultPrefs()) {
-		t.Errorf("unmerged parallel speech invalid: %q", uout.Speech.MainText())
+		t.Errorf("unmerged speech invalid: %q", uout.Speech.MainText())
 	}
 }
 

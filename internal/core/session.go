@@ -23,9 +23,8 @@ type session struct {
 	gen     *speech.Generator
 	sampler *sampling.Sampler
 	// async replaces the synchronous sampler when background sampling is
-	// enabled — a single AsyncSampler or a ShardedSampler depending on
-	// Config.SamplerShards; confidence queries then go through its locks.
-	async   sampling.BackgroundSource
+	// enabled; confidence queries then go through its lock.
+	async   *sampling.AsyncSampler
 	model   *belief.Model
 	speaker *voice.Speaker
 	rng     *rand.Rand
@@ -119,49 +118,6 @@ func (s *session) evalFunc(est sampling.Estimator) mcts.EvalFunc {
 			return 0, false
 		}
 		return s.model.Reward(sp, a, e), true
-	}
-}
-
-// seededEvalFunc is evalFunc for parallel tree sampling: randomness comes
-// from the worker's private RNG instead of the session RNG, so workers
-// never contend on (or race over) shared generator state. The estimator
-// itself is safe to share: the synchronous cache is read-only during a
-// sampling batch (rows are inserted between batches), and the background
-// sources are internally locked.
-func (s *session) seededEvalFunc(est sampling.Estimator) mcts.SeededEvalFunc {
-	return func(sp *speech.Speech, rng *rand.Rand) (float64, bool) {
-		a, ok := est.PickAggregate(rng)
-		if !ok {
-			return 0, false
-		}
-		e, ok := est.Estimate(a, rng)
-		if !ok {
-			return 0, false
-		}
-		return s.model.Reward(sp, a, e), true
-	}
-}
-
-// seededEvalFactory builds a fresh seeded evaluator per planner worker,
-// each backed by a private belief.RewardKernel: the kernel memoizes
-// per-speech mean terms and hoists the CDF constants without any
-// cross-worker sharing, and its rewards are bit-identical to Model.Reward
-// (so switching a tree from SeededEval to SeededEvalFactory changes no
-// sampled statistic, only the cost of producing them).
-func (s *session) seededEvalFactory(est sampling.Estimator) func() mcts.SeededEvalFunc {
-	return func() mcts.SeededEvalFunc {
-		k := s.model.NewRewardKernel()
-		return func(sp *speech.Speech, rng *rand.Rand) (float64, bool) {
-			a, ok := est.PickAggregate(rng)
-			if !ok {
-				return 0, false
-			}
-			e, ok := est.Estimate(a, rng)
-			if !ok {
-				return 0, false
-			}
-			return k.Reward(sp, a, e), true
-		}
 	}
 }
 

@@ -5,25 +5,21 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"runtime"
 	"time"
 
 	"repro/internal/belief"
 	"repro/internal/datagen"
-	"repro/internal/dimension"
 	"repro/internal/mcts"
 	"repro/internal/olap"
 	"repro/internal/sampling"
 	"repro/internal/speech"
-	"repro/internal/stats"
 	"repro/internal/table"
 )
 
 // PlannerConfig parameterizes the planner benchmark: the exhaustive quality
-// search (scalar versus incremental scorer) and UCT sampling throughput
-// (sequential versus virtual-loss parallel).
+// search (scalar versus incremental scorer) and UCT sampling throughput.
 type PlannerConfig struct {
 	// Rows is the flight dataset size (<= 0 selects DefaultBenchFlightRows).
 	Rows int
@@ -32,9 +28,6 @@ type PlannerConfig struct {
 	// Rounds is the number of tree-sampling rounds per throughput
 	// measurement (<= 0 selects 20000).
 	Rounds int
-	// MaxWorkers is the largest parallel worker count measured; worker
-	// counts double from 2 up to it (<= 0 selects 4).
-	MaxWorkers int
 	// Dims selects the quality-kernel query shape: "CM" (default) breaks
 	// down by city and month and "SM" by state and month — paper-scale
 	// aggregate counts in the hundreds, which is what the scorer targets —
@@ -48,209 +41,40 @@ type PlannerConfig struct {
 	MaxSpeeches int
 }
 
-// ParallelSample records one worker count of the parallel-sampling sweep.
-type ParallelSample struct {
-	Workers      int     `json:"workers"`
-	Ns           int64   `json:"ns"`
-	RoundsPerSec float64 `json:"rounds_per_sec"`
-	// Speedup is rounds/s relative to the sequential sampler. On a
-	// single-CPU runner (see num_cpu) expect ~1x or below: virtual-loss
-	// workers only help when they run on distinct cores.
-	Speedup float64 `json:"speedup"`
-	// Efficiency is Speedup/Workers: 1.0 means ideal linear scaling.
-	Efficiency float64 `json:"efficiency"`
-	// MutexWaitNs and GCPauseNs are deltas over this measurement:
-	// contention evidence recorded alongside the throughput.
-	MutexWaitNs int64 `json:"mutex_wait_ns"`
-	GCPauseNs   int64 `json:"gc_pause_ns"`
-}
-
 // PlannerResult is the machine-readable record of the planner benchmark.
 // benchrunner -exp planner writes it to BENCH_planner.json.
 type PlannerResult struct {
 	Rows int `json:"rows"`
-	// NumCPU and Gomaxprocs pin the machine the numbers were taken on:
-	// cross-machine comparisons of the parallel figures are meaningless
-	// without them.
+	// NumCPU and Gomaxprocs pin the machine the numbers were taken on.
 	NumCPU     int    `json:"num_cpu"`
 	Gomaxprocs int    `json:"gomaxprocs"`
 	Query      string `json:"query"`
 	Aggregates int    `json:"aggregates"`
 
-	// Exhaustive quality search over every valid speech, three ways:
-	// legacy is the pre-optimization per-aggregate loop (member-walking
-	// scope checks, per-aggregate delta recomputation), scalar is today's
-	// Model.Quality (bitset scopes, memoized deltas), scorer is the
-	// incremental apply/undo kernel the optimal planner uses.
+	// Exhaustive quality search over every valid speech, two ways: scalar
+	// is Model.Quality per candidate (bitset scopes, memoized deltas),
+	// scorer is the incremental apply/undo kernel the optimal planner uses.
 	SpeechesScored    int     `json:"speeches_scored"`
-	LegacyQualityNs   int64   `json:"legacy_quality_ns"`
 	ScalarQualityNs   int64   `json:"scalar_quality_ns"`
 	ScorerQualityNs   int64   `json:"scorer_quality_ns"`
-	LegacyNsPerSpeech float64 `json:"legacy_ns_per_speech"`
 	ScalarNsPerSpeech float64 `json:"scalar_ns_per_speech"`
 	ScorerNsPerSpeech float64 `json:"scorer_ns_per_speech"`
-	// QualitySpeedup is legacy/scorer: the end-to-end gain of this
-	// optimization wave over the loop it replaced.
-	QualitySpeedup float64 `json:"quality_speedup"`
 	// ScorerSpeedup is scalar/scorer: the incremental kernel's gain over
-	// the already-bitset per-candidate loop.
+	// the per-candidate loop.
 	ScorerSpeedup float64 `json:"scorer_speedup"`
-	// IdenticalChoice must be true: all three searches pick the same
-	// speech (the kernel changes evaluation order, not the math).
+	// IdenticalChoice must be true: both searches pick the same speech
+	// (the kernel changes evaluation order, not the math).
 	IdenticalChoice bool   `json:"identical_choice"`
 	BestSpeech      string `json:"best_speech"`
 
 	// UCT sampling throughput at fixed rounds, on the region-by-season
-	// tree (SamplingQuery).
-	SamplingQuery          string           `json:"sampling_query"`
-	TreeNodes              int              `json:"tree_nodes"`
-	Rounds                 int              `json:"rounds"`
-	SequentialNs           int64            `json:"sequential_sample_ns"`
-	SequentialRoundsPerSec float64          `json:"sequential_rounds_per_sec"`
-	Parallel               []ParallelSample `json:"parallel"`
-	// ParallelNote explains an empty Parallel sweep: on a single-CPU
-	// runner the sweep is skipped outright — a "speedup" measured there
-	// is scheduler noise, not a result.
-	ParallelNote string `json:"parallel_note,omitempty"`
-
-	// Allocation accounting for the sequential sampler's path pooling.
-	AllocsPerRoundPooled   float64 `json:"allocs_per_round_pooled"`
-	AllocsPerRoundUnpooled float64 `json:"allocs_per_round_unpooled"`
-}
-
-// legacyQuality replicates the planner's quality loop as it stood before
-// the scope bitsets and the incremental scorer: scope membership by walking
-// member ancestors per aggregate per refinement, and the refinement deltas
-// recomputed (and reallocated) for every aggregate. It is the honest
-// baseline for QualitySpeedup; TestLegacyQualityMatchesModel pins it to
-// Model.Quality.
-type legacyQuality struct {
-	space   *olap.Space
-	sigma   float64
-	step    float64
-	members [][]*dimension.Member
-	hiers   []*dimension.Hierarchy
-	strides []int
-}
-
-func newLegacyQuality(space *olap.Space, sigma float64) *legacyQuality {
-	l := &legacyQuality{
-		space: space,
-		sigma: sigma,
-		step:  belief.BucketStepForScale(2 * sigma),
-	}
-	stride := 1
-	l.members = make([][]*dimension.Member, space.NumDims())
-	l.hiers = make([]*dimension.Hierarchy, space.NumDims())
-	l.strides = make([]int, space.NumDims())
-	for d := space.NumDims() - 1; d >= 0; d-- {
-		ms := space.Members(d)
-		l.members[d] = ms
-		l.hiers[d] = ms[0].Hierarchy()
-		l.strides[d] = stride
-		stride *= len(ms)
-	}
-	return l
-}
-
-func (l *legacyQuality) inScope(idx int, preds []*dimension.Member) bool {
-	for _, p := range preds {
-		matched := false
-		found := false
-		for d := range l.members {
-			if l.hiers[d] == p.Hierarchy() {
-				found = true
-				coord := l.members[d][(idx/l.strides[d])%len(l.members[d])]
-				matched = coord.IsDescendantOf(p)
-				break
-			}
-		}
-		if found && !matched {
-			return false
-		}
-	}
-	return true
-}
-
-func (l *legacyQuality) scopeSize(preds []*dimension.Member) int {
-	n := 1
-	for d := range l.members {
-		count := 0
-		for _, m := range l.members[d] {
-			all := true
-			for _, p := range preds {
-				if p.Hierarchy() == l.hiers[d] && !m.IsDescendantOf(p) {
-					all = false
-					break
-				}
-			}
-			if all {
-				count++
-			}
-		}
-		n *= count
-	}
-	return n
-}
-
-func legacyDeltas(sp *speech.Speech) []float64 {
-	deltas := make([]float64, len(sp.Refinements))
-	if sp.Baseline == nil {
-		return deltas
-	}
-	for i, r := range sp.Refinements {
-		ref := sp.Baseline.Value
-		for j := 0; j < i; j++ {
-			if sp.Refinements[j].Subsumes(r) {
-				ref += deltas[j]
-			}
-		}
-		d := ref * float64(r.Percent) / 100
-		if r.Dir == speech.Decrease {
-			d = -d
-		}
-		deltas[i] = d
-	}
-	return deltas
-}
-
-func (l *legacyQuality) mean(sp *speech.Speech, agg int) float64 {
-	if sp.Baseline == nil {
-		return 0
-	}
-	mean := sp.Baseline.Value
-	n := l.space.Size()
-	deltas := legacyDeltas(sp) // per-aggregate recomputation, as before memoization
-	for i, r := range sp.Refinements {
-		sz := r.ScopeSize
-		if sz <= 0 {
-			sz = l.scopeSize(r.Preds)
-		}
-		if l.inScope(agg, r.Preds) {
-			mean += deltas[i]
-		} else if n > sz {
-			mean -= float64(sz) * deltas[i] / float64(n-sz)
-		}
-	}
-	return mean
-}
-
-func (l *legacyQuality) quality(sp *speech.Speech, result *olap.Result) float64 {
-	var sum float64
-	var n int
-	for a := 0; a < l.space.Size(); a++ {
-		v := result.Value(a)
-		if math.IsNaN(v) {
-			continue
-		}
-		b := stats.Normal{Mu: l.mean(sp, a), Sigma: l.sigma}
-		sum += b.Prob(v-l.step/2, v+l.step/2)
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
+	// tree (SamplingQuery), and the sampler's steady-state allocations.
+	SamplingQuery  string  `json:"sampling_query"`
+	TreeNodes      int     `json:"tree_nodes"`
+	Rounds         int     `json:"rounds"`
+	SampleNs       int64   `json:"sample_ns"`
+	RoundsPerSec   float64 `json:"rounds_per_sec"`
+	AllocsPerRound float64 `json:"allocs_per_round"`
 }
 
 // searchHooks lets exhaustiveSearch drive either a stateless per-candidate
@@ -331,9 +155,9 @@ type scoreOp struct {
 }
 
 // Planner measures the speech planner on the flights region-by-season
-// query: the exhaustive quality search three ways (legacy loop, scalar
-// model, incremental scorer) and UCT sampling throughput sequential versus
-// parallel, plus the sequential sampler's allocations per round.
+// query: the exhaustive quality search two ways (scalar model, incremental
+// scorer), UCT sampling throughput, and the sampler's allocations per
+// round.
 func Planner(cfg PlannerConfig) (*PlannerResult, error) {
 	rows := cfg.Rows
 	if rows <= 0 {
@@ -342,10 +166,6 @@ func Planner(cfg PlannerConfig) (*PlannerResult, error) {
 	rounds := cfg.Rounds
 	if rounds <= 0 {
 		rounds = 20000
-	}
-	maxWorkers := cfg.MaxWorkers
-	if maxWorkers <= 0 {
-		maxWorkers = 4
 	}
 
 	flights, err := datagen.Flights(datagen.FlightsConfig{Rows: rows, Seed: cfg.Seed})
@@ -362,9 +182,7 @@ func Planner(cfg PlannerConfig) (*PlannerResult, error) {
 	case "SM", "CM":
 		// State by month (level 2x2) or city by month (level 3x2): the
 		// unfiltered drill-down breakdowns on both hierarchies, paper-scale
-		// aggregate counts in the hundreds. City-level coordinates also make
-		// the legacy loop's per-aggregate ancestor walks representative of a
-		// real drill-down, where predicates sit levels above the group-by.
+		// aggregate counts in the hundreds.
 		level := 2
 		if dims == "CM" {
 			level = 3
@@ -410,10 +228,10 @@ func Planner(cfg PlannerConfig) (*PlannerResult, error) {
 	preamble := gen.NewPreamble()
 
 	// Record the optimal planner's DFS over the candidate space once as a
-	// tape of scorer operations, then time the three quality kernels over
-	// the identical candidate set with enumeration overhead excluded:
-	// what remains is exactly the per-candidate scoring loop the issue
-	// targets. All three must pick the same speech.
+	// tape of scorer operations, then time both quality kernels over the
+	// identical candidate set with enumeration overhead excluded: what
+	// remains is exactly the per-candidate scoring loop. Both must pick
+	// the same speech.
 	maxSpeeches := cfg.MaxSpeeches
 	if maxSpeeches <= 0 {
 		maxSpeeches = 50000
@@ -430,24 +248,15 @@ func Planner(cfg PlannerConfig) (*PlannerResult, error) {
 			return 0
 		},
 	})
-	legacy := newLegacyQuality(space, sigma)
-	argmax := func(quality func(sp *speech.Speech) float64) *speech.Speech {
-		var best *speech.Speech
+	var scalarBest, scorerBest *speech.Speech
+	scalarNs := timeBest(7, func() {
 		bestQ := -1.0
 		for _, sp := range speeches {
-			if q := quality(sp); q > bestQ {
+			if q := model.Quality(sp, result); q > bestQ {
 				bestQ = q
-				best = sp
+				scalarBest = sp
 			}
 		}
-		return best
-	}
-	var legacyBest, scalarBest, scorerBest *speech.Speech
-	legacyNs := timeBest(7, func() {
-		legacyBest = argmax(func(sp *speech.Speech) float64 { return legacy.quality(sp, result) })
-	})
-	scalarNs := timeBest(7, func() {
-		scalarBest = argmax(func(sp *speech.Speech) float64 { return model.Quality(sp, result) })
 	})
 	sc := model.NewScorer(result)
 	scorerNs := timeBest(7, func() {
@@ -470,8 +279,7 @@ func Planner(cfg PlannerConfig) (*PlannerResult, error) {
 		}
 		scorerBest = best
 	})
-	identical := legacyBest != nil && scalarBest != nil && scorerBest != nil &&
-		legacyBest.Text() == scorerBest.Text() && scalarBest.Text() == scorerBest.Text()
+	identical := scalarBest != nil && scorerBest != nil && scalarBest.Text() == scorerBest.Text()
 
 	// UCT sampling throughput on the Figure 3 region-by-season query (the
 	// tree the holistic planner demos actually sample; its candidate
@@ -514,44 +322,33 @@ func Planner(cfg PlannerConfig) (*PlannerResult, error) {
 		}
 		cache.InsertBatch(batch[:got])
 	}
-	seeded := func(sp *speech.Speech, rng *rand.Rand) (float64, bool) {
-		a, ok := cache.PickAggregate(rng)
-		if !ok {
-			return 0, false
-		}
-		e, ok := cache.Estimate(a, rng)
-		if !ok {
-			return 0, false
-		}
-		return sampleModel.Reward(sp, a, e), true
-	}
-	mkTree := func(seed int64, pooling bool) (*mcts.Tree, error) {
+	mkTree := func(seed int64) (*mcts.Tree, error) {
 		rng := rand.New(rand.NewSource(seed))
 		evalRng := rand.New(rand.NewSource(seed + 1))
-		eval := func(sp *speech.Speech) (float64, bool) { return seeded(sp, evalRng) }
-		tree, terr := mcts.NewTreeWithCap(sampleGen, speech.SpeechScale(sampleScale), eval, rng, 100000)
-		if terr != nil {
-			return nil, terr
+		eval := func(sp *speech.Speech) (float64, bool) {
+			a, ok := cache.PickAggregate(evalRng)
+			if !ok {
+				return 0, false
+			}
+			e, ok := cache.Estimate(a, evalRng)
+			if !ok {
+				return 0, false
+			}
+			return sampleModel.Reward(sp, a, e), true
 		}
-		tree.SeededEval = seeded
-		tree.DisablePathPooling = !pooling
-		return tree, nil
+		return mcts.NewTreeWithCap(sampleGen, speech.SpeechScale(sampleScale), eval, rng, 100000)
 	}
 	ctx := context.Background()
 	treeNodes := 0
-	measure := func(workers int) (time.Duration, error) {
+	measure := func() (time.Duration, error) {
 		var best time.Duration
 		for rep := 0; rep < 3; rep++ {
-			tree, terr := mkTree(cfg.Seed+int64(rep), true)
+			tree, terr := mkTree(cfg.Seed + int64(rep))
 			if terr != nil {
 				return 0, terr
 			}
 			start := time.Now()
-			if workers <= 1 {
-				_, terr = tree.SampleBatch(ctx, rounds)
-			} else {
-				_, terr = tree.SampleParallelBatch(ctx, rounds, workers)
-			}
+			_, terr = tree.SampleBatch(ctx, rounds)
 			d := time.Since(start)
 			if terr != nil {
 				return 0, terr
@@ -563,69 +360,28 @@ func Planner(cfg PlannerConfig) (*PlannerResult, error) {
 		}
 		return best, nil
 	}
-	roundsPerSec := func(d time.Duration) float64 {
-		if d <= 0 {
-			return 0
-		}
-		return float64(rounds) / d.Seconds()
-	}
-	seqNs, err := measure(1)
+	sampleNs, err := measure()
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
-	}
-	var parallel []ParallelSample
-	var parallelNote string
-	if runtime.NumCPU() < 2 {
-		parallelNote = "parallel sweep skipped: single-CPU runner (virtual-loss workers need distinct cores for speedup to mean anything)"
-	} else {
-		for w := 2; w <= maxWorkers; w *= 2 {
-			probe := probeContention()
-			d, merr := measure(w)
-			if merr != nil {
-				return nil, fmt.Errorf("experiments: %w", merr)
-			}
-			after := probeContention()
-			ps := ParallelSample{
-				Workers: w, Ns: d.Nanoseconds(), RoundsPerSec: roundsPerSec(d),
-				MutexWaitNs: after.mutexWaitNs - probe.mutexWaitNs,
-				GCPauseNs:   int64(after.gcPauseNs - probe.gcPauseNs),
-			}
-			if d > 0 {
-				ps.Speedup = float64(seqNs) / float64(d)
-				ps.Efficiency = ps.Speedup / float64(w)
-			}
-			parallel = append(parallel, ps)
-		}
 	}
 
-	// Allocations per sequential round, with and without path pooling.
-	allocsPerRound := func(pooling bool) (float64, error) {
-		tree, terr := mkTree(cfg.Seed+17, pooling)
-		if terr != nil {
-			return 0, terr
-		}
-		// Warm up memoized texts and deltas so steady-state rounds are
-		// what gets counted.
-		if _, terr = tree.SampleBatch(ctx, 64); terr != nil {
-			return 0, terr
-		}
-		runtime.GC()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		if _, terr = tree.SampleBatch(ctx, rounds); terr != nil {
-			return 0, terr
-		}
-		runtime.ReadMemStats(&after)
-		return float64(after.Mallocs-before.Mallocs) / float64(rounds), nil
-	}
-	pooled, err := allocsPerRound(true)
+	// Allocations per steady-state round.
+	tree, err := mkTree(cfg.Seed + 17)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
 	}
-	unpooled, err := allocsPerRound(false)
-	if err != nil {
+	// Warm up memoized texts and deltas so steady-state rounds are what
+	// gets counted.
+	if _, err := tree.SampleBatch(ctx, 64); err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
 	}
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := tree.SampleBatch(ctx, rounds); err != nil {
+		return nil, fmt.Errorf("experiments: %w", err)
+	}
+	runtime.ReadMemStats(&after)
 
 	perSpeech := func(d time.Duration) float64 {
 		if scored == 0 {
@@ -641,31 +397,26 @@ func Planner(cfg PlannerConfig) (*PlannerResult, error) {
 		Aggregates: space.Size(),
 
 		SpeechesScored:    scored,
-		LegacyQualityNs:   legacyNs.Nanoseconds(),
 		ScalarQualityNs:   scalarNs.Nanoseconds(),
 		ScorerQualityNs:   scorerNs.Nanoseconds(),
-		LegacyNsPerSpeech: perSpeech(legacyNs),
 		ScalarNsPerSpeech: perSpeech(scalarNs),
 		ScorerNsPerSpeech: perSpeech(scorerNs),
 		IdenticalChoice:   identical,
 
-		SamplingQuery:          "-,RD",
-		TreeNodes:              treeNodes,
-		Rounds:                 rounds,
-		SequentialNs:           seqNs.Nanoseconds(),
-		SequentialRoundsPerSec: roundsPerSec(seqNs),
-		Parallel:               parallel,
-		ParallelNote:           parallelNote,
-
-		AllocsPerRoundPooled:   pooled,
-		AllocsPerRoundUnpooled: unpooled,
+		SamplingQuery:  "-,RD",
+		TreeNodes:      treeNodes,
+		Rounds:         rounds,
+		SampleNs:       sampleNs.Nanoseconds(),
+		AllocsPerRound: float64(after.Mallocs-before.Mallocs) / float64(rounds),
 	}
 	if scorerBest != nil {
 		res.BestSpeech = scorerBest.MainText()
 	}
 	if scorerNs > 0 {
-		res.QualitySpeedup = float64(legacyNs) / float64(scorerNs)
 		res.ScorerSpeedup = float64(scalarNs) / float64(scorerNs)
+	}
+	if sampleNs > 0 {
+		res.RoundsPerSec = float64(rounds) / sampleNs.Seconds()
 	}
 	return res, nil
 }
@@ -683,20 +434,10 @@ func PrintPlanner(w io.Writer, r *PlannerResult) {
 		r.Rows, r.Aggregates, r.NumCPU, r.Gomaxprocs, r.Query)
 	fmt.Fprintf(w, "  exhaustive search over %d speeches (identical choice: %v)\n",
 		r.SpeechesScored, r.IdenticalChoice)
-	fmt.Fprintf(w, "    legacy loop:        %10.0f ns/speech\n", r.LegacyNsPerSpeech)
 	fmt.Fprintf(w, "    scalar model:       %10.0f ns/speech\n", r.ScalarNsPerSpeech)
-	fmt.Fprintf(w, "    incremental scorer: %10.0f ns/speech  (%.2fx vs legacy, %.2fx vs scalar)\n",
-		r.ScorerNsPerSpeech, r.QualitySpeedup, r.ScorerSpeedup)
+	fmt.Fprintf(w, "    incremental scorer: %10.0f ns/speech  (%.2fx vs scalar)\n",
+		r.ScorerNsPerSpeech, r.ScorerSpeedup)
 	fmt.Fprintf(w, "  UCT sampling on %s, %d rounds (%d tree nodes)\n",
 		r.SamplingQuery, r.Rounds, r.TreeNodes)
-	fmt.Fprintf(w, "    sequential:         %10.0f rounds/s\n", r.SequentialRoundsPerSec)
-	for _, p := range r.Parallel {
-		fmt.Fprintf(w, "    %d workers:          %10.0f rounds/s  (speedup %.2fx, efficiency %.2f, mutex wait %v)\n",
-			p.Workers, p.RoundsPerSec, p.Speedup, p.Efficiency, time.Duration(p.MutexWaitNs).Round(time.Microsecond))
-	}
-	if r.ParallelNote != "" {
-		fmt.Fprintf(w, "    %s\n", r.ParallelNote)
-	}
-	fmt.Fprintf(w, "  allocs/round: %.1f pooled, %.1f unpooled\n",
-		r.AllocsPerRoundPooled, r.AllocsPerRoundUnpooled)
+	fmt.Fprintf(w, "    %10.0f rounds/s, %.1f allocs/round\n", r.RoundsPerSec, r.AllocsPerRound)
 }

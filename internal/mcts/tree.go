@@ -35,8 +35,6 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/speech"
 )
@@ -62,16 +60,11 @@ type block struct {
 	stats []stat
 	// unvisited counts the slots with zero visits.
 	unvisited int
-	// dirty marks a block whose slots a parallel batch changed; the
-	// batch refreshes its means and unvisited count once workers stop.
-	dirty atomic.Bool
 }
 
 // Node is a search tree node adding one fragment to its parent's speech.
 // Its statistics are not fields: they sit in its parent's block (see the
-// package comment), so parallel workers bumping one child's counters
-// write only into that block and never into the nodes other workers read
-// on their descents.
+// package comment).
 type Node struct {
 	// Parent is nil for the root.
 	Parent *Node
@@ -92,16 +85,10 @@ type Node struct {
 	// mainLen is the running MainText length for O(1) validity checks.
 	mainLen int
 
-	// expanded flips to true only after Children is fully built, so a
-	// lock-free load that observes true also observes the children
-	// (release/acquire via the atomic). mu serializes the build itself
-	// when parallel workers race to lazily expand the same node.
-	expanded atomic.Bool
-	mu       sync.Mutex
-	// speechMemo memoizes the materialized speech once requested; atomic
-	// so parallel workers can share it. A lost race rebuilds an identical
-	// speech — benign.
-	speechMemo atomic.Pointer[speech.Speech]
+	// expanded is set once Children has been built (possibly empty).
+	expanded bool
+	// speechMemo memoizes the materialized speech once requested.
+	speechMemo *speech.Speech
 }
 
 // IsLeaf reports whether the node has no children. Before expansion a node
@@ -136,29 +123,13 @@ type Tree struct {
 	// picks. It exists for the ablation benchmarks quantifying what the
 	// exploration/exploitation balance buys.
 	UniformPolicy bool
-	// SeededEval, when set, is used by SampleParallelBatch instead of the
-	// sequential evaluator: each worker passes its own RNG, so evaluation
-	// needs no shared mutable state. When nil, parallel workers serialize
-	// calls to the sequential evaluator behind evalMu.
-	SeededEval SeededEvalFunc
-	// SeededEvalFactory, when set, takes precedence over SeededEval in
-	// SampleParallelBatch: each worker calls it once at batch start and
-	// evaluates through its private instance for the whole batch. It lets
-	// evaluators keep per-worker mutable scratch (e.g. a belief reward
-	// kernel with hoisted constants) without any cross-worker sharing.
-	SeededEvalFactory func() SeededEvalFunc
-	// DisablePathPooling turns off reuse of the per-round descent path
-	// slice (and per-worker scratch in the parallel sampler). It exists
-	// for the allocs/round ablation in the planner benchmark.
-	DisablePathPooling bool
 
 	// rootStat is the original root's statistics slot; every other node's
 	// slot lives in its parent's block.
 	rootStat  stat
-	nodeCount atomic.Int64
-	// pathScratch is the pooled descent path of the sequential Sample.
+	nodeCount int
+	// pathScratch is the pooled descent path of Sample.
 	pathScratch []*Node
-	evalMu      sync.Mutex
 }
 
 // DefaultMaxNodes bounds eager tree construction. The paper's queries stay
@@ -192,15 +163,7 @@ func NewTreeWithCap(gen *speech.Generator, scale float64, eval EvalFunc, rng *ra
 		MaxNodes: maxNodes,
 	}
 	t.root = &Node{stat: &t.rootStat}
-	t.nodeCount.Store(1)
-	// Prewarm the generator menu and the per-refinement text memos now:
-	// candidate refinements are shared across the whole tree, and lazy
-	// expansion during a parallel batch must never be the first caller of
-	// an unsynchronized memoization.
-	for _, r := range gen.Refinements(nil) {
-		r.Text()
-	}
-	t.preamble.Text()
+	t.nodeCount = 1
 	t.expand(t.root)
 	return t, nil
 }
@@ -209,14 +172,14 @@ func NewTreeWithCap(gen *speech.Generator, scale float64, eval EvalFunc, rng *ra
 func (t *Tree) Root() *Node { return t.root }
 
 // NodeCount returns the number of allocated nodes.
-func (t *Tree) NodeCount() int { return int(t.nodeCount.Load()) }
+func (t *Tree) NodeCount() int { return t.nodeCount }
 
 // Speech materializes the speech represented by node n (which must belong
 // to this tree): the preamble, the path's baseline, and its refinements in
 // order. The result is memoized on the node.
 func (t *Tree) Speech(n *Node) *speech.Speech {
-	if sp := n.speechMemo.Load(); sp != nil {
-		return sp
+	if n.speechMemo != nil {
+		return n.speechMemo
 	}
 	sp := &speech.Speech{Preamble: t.preamble}
 	if n.depth > 0 {
@@ -230,7 +193,7 @@ func (t *Tree) Speech(n *Node) *speech.Speech {
 			sp.Baseline = cur.baseline
 		}
 	}
-	n.speechMemo.Store(sp)
+	n.speechMemo = sp
 	return sp
 }
 
@@ -262,18 +225,8 @@ func (n *Node) hasScopeOnPath(r *speech.Refinement) bool {
 // node budget lasts; past the budget, descendants expand lazily. Validity
 // (character and fragment limits, duplicate scopes) is checked with O(k)
 // incremental state instead of materializing candidate speeches.
-//
-// Expansion is safe under concurrent sampling: the per-node mutex
-// serializes rival builders (double-checked against the expanded flag),
-// children become visible before the flag flips, and nodes past the flag
-// are never rebuilt.
 func (t *Tree) expand(n *Node) {
-	if n.expanded.Load() {
-		return
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.expanded.Load() {
+	if n.expanded {
 		return
 	}
 	prefs := t.gen.Prefs
@@ -281,8 +234,8 @@ func (t *Tree) expand(n *Node) {
 	// Children are allocated from one contiguous slab per expansion — a
 	// per-expansion arena. One allocation instead of one per child, and a
 	// UCT scan over the siblings walks memory linearly. The slab may grow
-	// (and copy) while it is built; pointers are taken only once it is
-	// final, and nothing is published before the expanded flag flips.
+	// (and copy) while it is built, so pointers are taken only once it is
+	// final.
 	var slab []Node
 	if n.baseline == nil && n.Parent == nil {
 		cands := t.gen.BaselineCandidates(speech.SpeechScale(t.scale))
@@ -315,17 +268,17 @@ func (t *Tree) expand(n *Node) {
 			slab[i].stat = &kids.stats[i]
 			children[i] = &slab[i]
 		}
-		t.nodeCount.Add(int64(len(slab)))
+		t.nodeCount += len(slab)
 		n.Children = children
 		n.kids = kids
 	}
-	n.expanded.Store(true)
-	if t.nodeCount.Load() >= int64(t.MaxNodes) {
+	n.expanded = true
+	if t.nodeCount >= t.MaxNodes {
 		return
 	}
 	for _, c := range n.Children {
 		t.expand(c)
-		if t.nodeCount.Load() >= int64(t.MaxNodes) {
+		if t.nodeCount >= t.MaxNodes {
 			return
 		}
 	}
@@ -397,13 +350,9 @@ func (t *Tree) Sample() bool {
 	// The descent path is pooled across rounds: its length is bounded by
 	// the fragment limit, and one slice per round was the planner loop's
 	// dominant allocation.
-	path := t.pathScratch[:0]
-	if t.DisablePathPooling {
-		path = nil
-	}
-	path = append(path, n)
+	path := append(t.pathScratch[:0], n)
 	for {
-		if !n.expanded.Load() {
+		if !n.expanded {
 			t.expand(n)
 		}
 		if n.IsLeaf() {
@@ -412,9 +361,7 @@ func (t *Tree) Sample() bool {
 		n = t.maxUCTChild(n)
 		path = append(path, n)
 	}
-	if !t.DisablePathPooling {
-		t.pathScratch = path
-	}
+	t.pathScratch = path
 	r, ok := t.eval(t.Speech(n))
 	if !ok {
 		return false

@@ -1,6 +1,7 @@
 package mcts
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -168,6 +169,36 @@ func TestSampleSkippedWhenEvalUnavailable(t *testing.T) {
 	}
 	if tree.Root().Visits() != 0 {
 		t.Error("failed sample must not update statistics")
+	}
+}
+
+// TestSampleBatchCancellation checks that SampleBatch stops at the first
+// round boundary after ctx is cancelled, reports ctx.Err(), and leaves
+// statistics for exactly the rounds it completed.
+func TestSampleBatchCancellation(t *testing.T) {
+	e := newEnv(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	calls := 0
+	eval := func(s *speech.Speech) (float64, bool) {
+		if calls++; calls == 20 {
+			cancel()
+		}
+		return e.model.Quality(s, e.result), true
+	}
+	tree, err := NewTree(e.gen, e.result.GrandValue(), eval, rand.New(rand.NewSource(16)))
+	if err != nil {
+		t.Fatalf("NewTree: %v", err)
+	}
+	const rounds = 1 << 20 // would take far too long without cancellation
+	done, err := tree.SampleBatch(ctx, rounds)
+	if err != context.Canceled {
+		t.Errorf("err = %v, want context.Canceled", err)
+	}
+	if done != 20 {
+		t.Errorf("done = %d, want the 20 rounds before cancellation", done)
+	}
+	if got := tree.Root().Visits(); got != int64(done) {
+		t.Errorf("root visits = %d, want done rounds %d", got, done)
 	}
 }
 

@@ -101,8 +101,8 @@ func TestScopeSetCached(t *testing.T) {
 }
 
 // TestScopeSetConcurrent exercises concurrent first-touch resolution of
-// overlapping scopes — the parallel planner's access pattern — under the
-// race detector.
+// overlapping scopes — concurrent answers sharing a cached view's Space —
+// under the race detector.
 func TestScopeSetConcurrent(t *testing.T) {
 	f := newFixture(t)
 	s, err := NewSpace(f.dataset, f.regionSeasonQuery())

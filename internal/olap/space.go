@@ -34,8 +34,8 @@ type Space struct {
 	denseFilters []denseFilter
 	// scopeCache memoizes refinement-scope bitsets (scopeKey -> *ScopeSet)
 	// so InScope/ScopeSize are word-indexed loads after the first request
-	// for a scope. A sync.Map because the parallel planner resolves scopes
-	// from many sampling workers at once.
+	// for a scope. A sync.Map because a cached sample view shares its
+	// Space across concurrent answers, each resolving scopes on it.
 	scopeCache sync.Map
 	// rowLo/rowHi bound the rows in scope when the query carries a
 	// trailing time window; rows outside [rowLo, rowHi) classify as out of

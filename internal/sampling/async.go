@@ -21,12 +21,9 @@ import (
 // and holds mu just for the journal replay (Cache.MergeWorker, bit-
 // identical to inserting the batch directly). Estimate readers therefore
 // serialize only behind the short merge, not behind full insert bursts.
-// Readers do still take the mutex: unlike EpochSampler, this sampler backs
-// the exact single-stream path whose PooledConfidenceInterval pools raw
-// per-aggregate value lists, and those lists cannot be snapshotted in O(1).
-// Callers who want wait-free reads use EpochSampler instead. Lifecycle
-// state (started) lives under its own lock so Start/Stop never queue
-// behind a merge.
+// The planner is the only reader, one goroutine per answer, so a plain
+// mutex is all the read side needs. Lifecycle state (started) lives under
+// its own lock so Start/Stop never queue behind a merge.
 type AsyncSampler struct {
 	mu      sync.Mutex
 	cache   *Cache

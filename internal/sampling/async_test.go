@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/olap"
+	"repro/internal/table"
 )
 
 func TestAsyncSamplerFillsInBackground(t *testing.T) {
@@ -128,5 +129,44 @@ func TestAsyncSamplerPooledInterval(t *testing.T) {
 	}
 	if _, ok := a.PooledConfidenceInterval(all, 0.95); !ok {
 		t.Error("pooled interval unavailable after 2000 rows")
+	}
+}
+
+// TestAsyncSamplerBitIdenticalToSampler pins the background sampler to the
+// synchronous reference: an AsyncSampler drained over a fixed scanner
+// stream leaves a cache bit-identical to a Sampler fed the same stream —
+// per-aggregate counts, raw value bits, moments and NrRead. Staging each
+// batch in a WorkerAccumulator and replaying it under the lock adds no
+// numeric deviation, whatever the batch sizes on either side.
+func TestAsyncSamplerBitIdenticalToSampler(t *testing.T) {
+	for _, fct := range []olap.AggFunc{olap.Count, olap.Sum, olap.Avg} {
+		s := flightsSpace(t, fct)
+		tab := s.Dataset().Table()
+		n := int64(tab.NumRows())
+		const seed = 31
+
+		a, err := NewAsyncSamplerWithScanner(s, table.NewRandomScanner(tab, rand.New(rand.NewSource(seed))), 512)
+		if err != nil {
+			t.Fatalf("NewAsyncSamplerWithScanner: %v", err)
+		}
+		a.Start()
+		select {
+		case <-a.done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%v: background scan did not drain the table", fct)
+		}
+		a.Stop()
+
+		ref, err := NewSamplerWithScanner(s, table.NewRandomScanner(tab, rand.New(rand.NewSource(seed))))
+		if err != nil {
+			t.Fatalf("NewSamplerWithScanner: %v", err)
+		}
+		for !ref.Exhausted() {
+			ref.ReadRows(300)
+		}
+		if a.NrRead() != n || ref.Cache().NrRead() != n {
+			t.Fatalf("%v: read %d (async) and %d (sync) of %d rows", fct, a.NrRead(), ref.Cache().NrRead(), n)
+		}
+		requireCachesBitIdentical(t, a.cache, ref.Cache(), fct.String())
 	}
 }

@@ -2,8 +2,6 @@ package sampling
 
 import (
 	"math/rand"
-	"runtime"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/datagen"
@@ -79,80 +77,4 @@ func BenchmarkWorkerAccumulatorFillMerge(b *testing.B) {
 		c.MergeWorker(w)
 		w.Reset()
 	}
-}
-
-// BenchmarkEpochSamplerEstimate hammers the wait-free read path from
-// parallel goroutines (scaled by -cpu) against a partially filled sampler.
-// Contention regressions here — a reintroduced read lock — show up as
-// ns/op exploding with the -cpu value.
-func BenchmarkEpochSamplerEstimate(b *testing.B) {
-	s := benchSpace(b, olap.Avg)
-	es, err := NewEpochSampler(s, rand.New(rand.NewSource(7)), 4, 512)
-	if err != nil {
-		b.Fatal(err)
-	}
-	es.Start()
-	defer es.Stop()
-	for es.NrRead() < 4096 {
-		runtime.Gosched()
-	}
-	var seed atomic.Int64
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		rng := rand.New(rand.NewSource(seed.Add(1)))
-		for pb.Next() {
-			if agg, ok := es.PickAggregate(rng); ok {
-				es.Estimate(agg, rng)
-			}
-		}
-	})
-}
-
-// BenchmarkShardedSamplerEstimate is the locked-read predecessor, kept as
-// the contention baseline for the epoch sampler's wait-free reads.
-func BenchmarkShardedSamplerEstimate(b *testing.B) {
-	s := benchSpace(b, olap.Avg)
-	sh, err := NewShardedSampler(s, rand.New(rand.NewSource(7)), 4, 512)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sh.Start()
-	defer sh.Stop()
-	for sh.NrRead() < 4096 {
-		runtime.Gosched()
-	}
-	var seed atomic.Int64
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		rng := rand.New(rand.NewSource(seed.Add(1)))
-		for pb.Next() {
-			if agg, ok := sh.PickAggregate(rng); ok {
-				sh.Estimate(agg, rng)
-			}
-		}
-	})
-}
-
-// BenchmarkEpochSamplerDrain measures full-table ingest throughput
-// (rows/s) through the epoch path; workers match the -cpu value.
-func BenchmarkEpochSamplerDrain(b *testing.B) {
-	s := benchSpace(b, olap.Avg)
-	n := s.Dataset().Table().NumRows()
-	workers := runtime.GOMAXPROCS(0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		es, err := NewEpochSampler(s, rand.New(rand.NewSource(int64(i))), workers, 512)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		es.Start()
-		<-es.Done()
-		es.Stop()
-	}
-	b.SetBytes(int64(n) * 8)
 }

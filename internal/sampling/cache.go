@@ -332,11 +332,6 @@ func (c *Cache) GrandEstimate() (float64, bool) {
 	}
 }
 
-// GrandMoments returns the running moments over all cached in-scope rows.
-// Sharded samplers merge these across shards without touching the raw
-// value lists.
-func (c *Cache) GrandMoments() stats.Accumulator { return c.grand }
-
 // PooledConfidenceInterval returns a CLT confidence interval for the
 // aggregate value over the union of the given aggregates, pooling their
 // cached rows. It powers the Section 4.4 uncertainty extensions, which

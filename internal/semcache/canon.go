@@ -11,8 +11,8 @@
 // Soundness contract (see DESIGN.md): callers must vocalize the
 // Normalize'd query, never the raw one. Then key equality implies an
 // identical planner input, and with the deterministic planner
-// configuration the web layer uses (fixed seed, simulated clock, one
-// planner worker) an identical spoken answer — which is what lets tier A
+// configuration the web layer uses (fixed seed, simulated clock) an
+// identical spoken answer — which is what lets tier A
 // replay cached speech bit-for-bit.
 package semcache
 

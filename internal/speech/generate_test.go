@@ -10,7 +10,7 @@ import (
 	"repro/internal/olap"
 )
 
-func flightsGenerator(t *testing.T, filters ...*dimension.Member) *Generator {
+func flightsGenerator(t testing.TB, filters ...*dimension.Member) *Generator {
 	t.Helper()
 	d, err := datagen.Flights(datagen.FlightsConfig{Rows: 2000, Seed: 21})
 	if err != nil {

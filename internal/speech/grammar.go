@@ -161,7 +161,7 @@ type Speech struct {
 
 	// deltas memoizes Deltas(). Clone and Extend return fresh structs, so a
 	// memo can never describe a stale refinement list; the atomic pointer
-	// makes the lazy fill safe when parallel planner workers share a node's
+	// makes the lazy fill safe when concurrent requests share a cached
 	// speech. Duplicate computation under contention is benign — the value
 	// is deterministic.
 	deltas atomic.Pointer[[]float64]

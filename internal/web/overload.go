@@ -3,7 +3,6 @@ package web
 import (
 	"fmt"
 	"net/http"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -196,24 +195,6 @@ type ServingStats struct {
 	// VocalizeLatencyMS reports sliding-window wall-latency quantiles for
 	// real vocalizer runs ("p50", "p99"); absent before the first run.
 	VocalizeLatencyMS map[string]float64 `json:"vocalizeLatencyMs,omitempty"`
-	// Planner reports the parallel-planning configuration in effect.
-	Planner PlannerServingStats `json:"planner"`
-}
-
-// PlannerServingStats reports the parallel-planning configuration: the
-// configured worker counts against the machine's capacity, and whether the
-// brownout ladder is currently forcing queries back to one worker.
-type PlannerServingStats struct {
-	// Workers is the configured tree-sampling worker count per planning
-	// round (1 = sequential planner).
-	Workers int `json:"workers"`
-	// SamplerShards is the configured background-scan worker count.
-	SamplerShards int `json:"samplerShards,omitempty"`
-	NumCPU        int `json:"numCpu"`
-	Gomaxprocs    int `json:"gomaxprocs"`
-	// BrownoutCapped reports that the current ladder step runs every
-	// query with a single sampling worker despite Workers > 1.
-	BrownoutCapped bool `json:"brownoutCapped,omitempty"`
 }
 
 // servingStats snapshots the overload-resilience state.
@@ -224,17 +205,6 @@ func (s *Server) servingStats() ServingStats {
 		Brownout: s.brown.Snapshot(),
 		Breakers: make(map[string]string, len(s.breakers)),
 		SemCache: s.semCacheStats(),
-	}
-	workers := s.cfg.PlannerWorkers
-	if workers < 1 {
-		workers = 1
-	}
-	out.Planner = PlannerServingStats{
-		Workers:        workers,
-		SamplerShards:  s.cfg.SamplerShards,
-		NumCPU:         runtime.NumCPU(),
-		Gomaxprocs:     runtime.GOMAXPROCS(0),
-		BrownoutCapped: workers > 1 && out.Brownout.Step >= admission.StepReduced,
 	}
 	if p50, p99, _, ok := s.latw.quantiles(); ok {
 		out.VocalizeLatencyMS = map[string]float64{

@@ -16,7 +16,7 @@ import (
 )
 
 // newCacheServer builds a server with a fully deterministic vocalizer
-// config (per-request sim clock, fixed seed, one planner worker) so cold
+// config (per-request sim clock, fixed seed) so cold
 // answers for equal canonical queries are bit-identical across sessions
 // and servers — the property the semantic cache's soundness rests on.
 func newCacheServer(t *testing.T, opts Options) (*Server, *httptest.Server) {

@@ -801,10 +801,6 @@ func (s *Server) vocalize(ctx context.Context, info DatasetInfo, q olap.Query, m
 	if step == admission.StepReduced {
 		cfg.MaxRoundsPerSentence = reducedBudget(cfg.MaxRoundsPerSentence, 32)
 		cfg.MaxTreeNodes = reducedBudget(cfg.MaxTreeNodes, 1024)
-		// Parallel planning multiplies per-query CPU demand exactly when
-		// the ladder says the machine is saturated: browned-out queries
-		// keep a single sampling worker.
-		cfg.PlannerWorkers = 1
 	}
 	if view != nil {
 		out, err := core.NewWarm(info.Dataset, view, cfg).VocalizeContext(ctx)
